@@ -10,7 +10,7 @@
 //   --hotpath-json=PATH   instead of running google-benchmark, measure the
 //                         hot-path operations (schedule, cancel, nothing-due
 //                         check, dispatch cycle, burst drains, and the
-//                         update-heavy re-arm mix) across all five
+//                         update-heavy re-arm mix) across all four
 //                         TimerQueue kinds and write machine-readable JSON
 //                         (ns/op and allocs/op) to PATH, alongside the
 //                         facility-level numbers recorded from the tree
@@ -129,10 +129,9 @@ struct HotpathSample {
   OpSample burst_dispatch_read_every_event;
   OpSample burst_dispatch_amortized_reads;
   // Re-arm churn over a pool of live events (the RTO-restart shape):
-  // `update` is RescheduleSoftEvent (native in-place relink on the grouped
-  // sorting queue, the inherited cancel+reschedule elsewhere);
-  // `update_emulated` is the portable CancelSoftEvent+ScheduleSoftEvent
-  // pair every pre-update caller had to write.
+  // `update` is RescheduleSoftEvent (the queue's cancel+reschedule, which
+  // keeps the handler); `update_emulated` is the CancelSoftEvent+
+  // ScheduleSoftEvent pair every pre-update caller had to write.
   OpSample update;
   OpSample update_emulated;
 };
@@ -247,10 +246,10 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
 
   // Update-heavy mix: a pool of live far-out events whose deadlines keep
   // moving, one re-arm per measured op. The pool never drains, so this is
-  // pure relink cost - the dominant write pattern of an RTO engine
+  // pure re-arm cost - the dominant write pattern of an RTO engine
   // restarting survivor timers on every partial ACK.
   constexpr size_t kPool = 4096;
-  auto measure_rearm = [&](bool native) {
+  auto measure_rearm = [&](bool reschedule) {
     Env env(kind);
     std::vector<SoftEventId> ids(kPool);
     for (size_t i = 0; i < kPool; ++i) {
@@ -260,7 +259,7 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
     auto rearm = [&](size_t i) {
       size_t slot = i % kPool;
       uint64_t delta = 1'000'000 + ((i * 7) & 4095);
-      if (native) {
+      if (reschedule) {
         ids[slot] = env.facility.RescheduleSoftEvent(ids[slot], delta);
       } else {
         env.facility.CancelSoftEvent(ids[slot]);
@@ -318,8 +317,7 @@ int WriteHotpathJson(const std::string& path, size_t iters) {
   std::fprintf(f, "  \"current\": {\n");
   const TimerQueueKind kKinds[] = {
       TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList,
-      TimerQueueKind::kGroupedSorting};
+      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList};
   constexpr size_t kNumKinds = sizeof(kKinds) / sizeof(kKinds[0]);
   for (size_t k = 0; k < kNumKinds; ++k) {
     HotpathSample s = MeasureHotpath(kKinds[k], iters);

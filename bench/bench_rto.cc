@@ -12,11 +12,8 @@
 //               path, and zero fires across the whole phase.
 //   rearm       Full 4-segment windows under partial ACKs: every ACK
 //               retires the head and restarts the three survivors (RFC
-//               6298 5.3) through RescheduleOnShard. Run twice - on the
-//               grouped sorting queue (native O(1) Update) and on the
-//               hashed wheel (inherited cancel+reschedule emulation) - to
-//               price the native path at connection scale. Gates: every
-//               round restarts 3 survivors/conn on both backends, 0
+//               6298 5.3) through RescheduleOnShard, on the default
+//               backend. Gates: every round restarts 3 survivors/conn, 0
 //               allocs/op, zero fires, exact conservation.
 //   loss        Same engine under a FaultInjector plan (probabilistic
 //               data/ACK loss plus a deterministic burst episode): timers
@@ -203,8 +200,7 @@ ChurnResult RunChurn(size_t conns) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 1b: partial-ACK re-arm - the RFC 6298 5.3 restart at scale, native
-// update vs emulated cancel+reschedule.
+// Phase 1b: partial-ACK re-arm - the RFC 6298 5.3 restart at scale.
 // ---------------------------------------------------------------------------
 
 struct RearmResult {
@@ -218,8 +214,8 @@ struct RearmResult {
   uint64_t total_fired = 0;
   bool conserved = false;
   // The measured round is one partial ACK + one fresh send per connection:
-  // 3 survivor restarts, 1 cancel, 1 schedule. The restarts dominate and
-  // are the only part that differs between backends, so normalize on them.
+  // 3 survivor restarts, 1 cancel, 1 schedule. The restarts dominate, so
+  // normalize on them.
   double ns_per_reschedule() const {
     return reschedules == 0 ? 0.0
                             : static_cast<double>(cpu_ns) /
@@ -232,11 +228,10 @@ struct RearmResult {
   }
 };
 
-RearmResult RunRearm(size_t conns, TimerQueueKind kind) {
+RearmResult RunRearm(size_t conns) {
   TickClock clock;
   ShardedSoftTimerRuntime::Config rc;
   rc.num_shards = 1;
-  rc.facility.queue_kind = kind;
   ShardedSoftTimerRuntime rt(&clock, rc);
   RtoEngine::Config ec;
   ec.rto_initial_ticks = 8'000;  // ACK cadence is 500: restarts always win
@@ -273,7 +268,7 @@ RearmResult RunRearm(size_t conns, TimerQueueKind kind) {
   constexpr int kReps = 3;
   RearmResult r;
   r.conns = conns;
-  r.queue = TimerQueueKindName(kind);
+  r.queue = TimerQueueKindName(rc.facility.queue_kind);
   r.measured_rounds = kReps;
   r.reschedules = static_cast<uint64_t>(conns) * (kRtoWindowSegments - 1);
   uint64_t best_cpu = UINT64_MAX;
@@ -704,26 +699,11 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
   size_t rearm_conns = conns / 4 > 0 ? conns / 4 : 1;
   std::printf("rto rearm: %zu connections x %u-segment windows...\n",
               rearm_conns, kRtoWindowSegments);
-  RearmResult rearm_native =
-      RunRearm(rearm_conns, TimerQueueKind::kGroupedSorting);
-  RearmResult rearm_emulated =
-      RunRearm(rearm_conns, TimerQueueKind::kHashedWheel);
-  double rearm_speedup =
-      rearm_native.cpu_ns == 0
-          ? 0.0
-          : static_cast<double>(rearm_emulated.cpu_ns) /
-                static_cast<double>(rearm_native.cpu_ns);
+  RearmResult rearm = RunRearm(rearm_conns);
   std::printf(
-      "  native (%s)   %.1f ns/reschedule  allocs/op %.6f  fired %" PRIu64
-      "\n",
-      rearm_native.queue, rearm_native.ns_per_reschedule(),
-      rearm_native.allocs_per_op(), rearm_native.total_fired);
-  std::printf(
-      "  emulated (%s) %.1f ns/reschedule  allocs/op %.6f  fired %" PRIu64
-      "  native speedup %.2fx\n",
-      rearm_emulated.queue, rearm_emulated.ns_per_reschedule(),
-      rearm_emulated.allocs_per_op(), rearm_emulated.total_fired,
-      rearm_speedup);
+      "  %s  %.1f ns/reschedule  allocs/op %.6f  fired %" PRIu64 "\n",
+      rearm.queue, rearm.ns_per_reschedule(), rearm.allocs_per_op(),
+      rearm.total_fired);
 
   std::printf("rto loss: %zu connections under chaos plan...\n", conns);
   LossResult loss = RunLoss(conns);
@@ -772,9 +752,8 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
         "(CLOCK_THREAD_CPUTIME_ID) over schedule+cancel ops (best of 3 "
         "rounds), allocs from the operator-new probe (worst of 3). rearm: "
         "4-segment windows under partial ACKs, every ACK restarts the 3 "
-        "survivors (RFC 6298 5.3); native Update on the grouped sorting "
-        "queue vs the emulated cancel+reschedule on the hashed wheel, cost "
-        "normalized per survivor restart. loss: "
+        "survivors (RFC 6298 5.3) on the default backend, cost normalized "
+        "per survivor restart. loss: "
         "FaultInjector plan (2%% data, 1%% ACK, burst=conns/100), lateness "
         "from the engine fire probe against a 128-tick trigger cadence. "
         "wheel: PacingWheel flows re-rated through doubling intervals past "
@@ -793,22 +772,17 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
         churn.ns_per_op(), churn.ops_per_sec(), churn.allocs_per_op(),
         churn.cancelled_ratio(), churn.total_fired,
         churn.conserved ? "true" : "false");
-    auto write_rearm = [&](const char* key, const RearmResult& r,
-                           const char* trailer) {
-      std::fprintf(
-          f,
-          "  \"%s\": {\"conns\": %zu, \"queue\": \"%s\", "
-          "\"reschedules_per_round\": %" PRIu64 ", \"cpu_ns\": %" PRIu64
-          ", \"ns_per_reschedule\": %.2f, \"allocs_per_op\": %.6f, "
-          "\"timers_rescheduled\": %" PRIu64 ", \"timers_fired\": %" PRIu64
-          ", \"conserved\": %s}%s\n",
-          key, r.conns, r.queue, r.reschedules, r.cpu_ns,
-          r.ns_per_reschedule(), r.allocs_per_op(), r.total_rescheduled,
-          r.total_fired, r.conserved ? "true" : "false", trailer);
-    };
-    write_rearm("rearm_native", rearm_native, ",");
-    write_rearm("rearm_emulated", rearm_emulated, ",");
-    std::fprintf(f, "  \"rearm_native_speedup\": %.3f,\n", rearm_speedup);
+    std::fprintf(
+        f,
+        "  \"rearm_emulated\": {\"conns\": %zu, \"queue\": \"%s\", "
+        "\"reschedules_per_round\": %" PRIu64 ", \"cpu_ns\": %" PRIu64
+        ", \"ns_per_reschedule\": %.2f, \"allocs_per_op\": %.6f, "
+        "\"timers_rescheduled\": %" PRIu64 ", \"timers_fired\": %" PRIu64
+        ", \"conserved\": %s},\n",
+        rearm.conns, rearm.queue, rearm.reschedules, rearm.cpu_ns,
+        rearm.ns_per_reschedule(), rearm.allocs_per_op(),
+        rearm.total_rescheduled, rearm.total_fired,
+        rearm.conserved ? "true" : "false");
     std::fprintf(
         f,
         "  \"loss\": {\"conns\": %zu, \"completed\": %s, \"fires\": %" PRIu64
@@ -870,34 +844,32 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
     std::fprintf(stderr, "FAIL: churn timer accounting not conserved\n");
     rc = 1;
   }
-  for (const RearmResult* r : {&rearm_native, &rearm_emulated}) {
-    // warmup + measured rounds, 3 survivors restarted per connection each.
-    uint64_t expected =
-        static_cast<uint64_t>(1 + r->measured_rounds) * r->reschedules;
-    if (r->total_rescheduled != expected) {
-      std::fprintf(stderr,
-                   "FAIL: rearm (%s) restarted %" PRIu64 " timers, want %" PRIu64
-                   "\n",
-                   r->queue, r->total_rescheduled, expected);
-      rc = 1;
-    }
-    if (r->allocs_per_op() > 1e-6) {
-      std::fprintf(stderr, "FAIL: rearm (%s) allocs/op %.6f != 0\n", r->queue,
-                   r->allocs_per_op());
-      rc = 1;
-    }
-    if (r->total_fired != 0) {
-      std::fprintf(stderr,
-                   "FAIL: rearm (%s) fired %" PRIu64 " timers (restarts "
-                   "should always win)\n",
-                   r->queue, r->total_fired);
-      rc = 1;
-    }
-    if (!r->conserved) {
-      std::fprintf(stderr, "FAIL: rearm (%s) timer accounting not conserved\n",
-                   r->queue);
-      rc = 1;
-    }
+  // warmup + measured rounds, 3 survivors restarted per connection each.
+  uint64_t rearm_expected =
+      static_cast<uint64_t>(1 + rearm.measured_rounds) * rearm.reschedules;
+  if (rearm.total_rescheduled != rearm_expected) {
+    std::fprintf(stderr,
+                 "FAIL: rearm (%s) restarted %" PRIu64 " timers, want %" PRIu64
+                 "\n",
+                 rearm.queue, rearm.total_rescheduled, rearm_expected);
+    rc = 1;
+  }
+  if (rearm.allocs_per_op() > 1e-6) {
+    std::fprintf(stderr, "FAIL: rearm (%s) allocs/op %.6f != 0\n", rearm.queue,
+                 rearm.allocs_per_op());
+    rc = 1;
+  }
+  if (rearm.total_fired != 0) {
+    std::fprintf(stderr,
+                 "FAIL: rearm (%s) fired %" PRIu64 " timers (restarts "
+                 "should always win)\n",
+                 rearm.queue, rearm.total_fired);
+    rc = 1;
+  }
+  if (!rearm.conserved) {
+    std::fprintf(stderr, "FAIL: rearm (%s) timer accounting not conserved\n",
+                 rearm.queue);
+    rc = 1;
   }
   if (!loss.completed) {
     std::fprintf(stderr, "FAIL: loss phase did not drain every connection\n");

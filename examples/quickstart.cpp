@@ -18,6 +18,7 @@
 
 #include "src/machine/kernel.h"
 #include "src/sim/simulator.h"
+#include "src/stats/summary_stats.h"
 
 using namespace softtimer;
 

@@ -280,11 +280,9 @@ SoftEventId ShardedSoftTimerRuntime::ApplyReschedule(Shard& shard,
       return SoftEventId{};
     }
     // The event stayed alive (a reschedule never fires the retire hook), so
-    // rebind the remote key to its possibly-renamed slab id; the caller's
-    // remote handle keeps working unchanged.
-    if (moved.value != local) {
-      shard.remote_ids.Insert(id_value, moved.value);
-    }
+    // rebind the remote key to its renamed slab id; the caller's remote
+    // handle keeps working unchanged.
+    shard.remote_ids.Insert(id_value, moved.value);
     return SoftEventId{id_value};
   }
   SoftEventId moved = shard.facility->RescheduleSoftEvent(
@@ -374,8 +372,8 @@ bool ShardedSoftTimerRuntime::RescheduleCrossCore(ProducerToken& token,
                                                   SoftEventId id,
                                                   uint64_t delta_ticks) {
   // Remote ids only: the shard rebinds its remote-id table on apply, so the
-  // caller's handle survives. A local id could be renamed by the reschedule
-  // (emulated-update backends) with no way to return the new name.
+  // caller's handle survives. A local id is renamed by the reschedule, with
+  // no way to return the new name.
   if (!token.valid() || !id.valid() || !IsRemoteTimerId(id.value)) {
     return false;
   }

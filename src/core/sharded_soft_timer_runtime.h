@@ -194,8 +194,8 @@ class ShardedSoftTimerRuntime {
   // RescheduleSoftEvent with the runtime's id plumbing on top. Returns the
   // id naming the event afterwards: a remote id is returned unchanged (the
   // shard's remote-id table is rebound underneath it, so the producer's
-  // handle stays live), a local id may be renamed on backends without a
-  // native update path. Invalid id when the event already fired, was
+  // handle stays live), a local id is renamed (the queue's Update is a
+  // cancel+reschedule). Invalid id when the event already fired, was
   // cancelled, or targets another shard.
   SoftEventId RescheduleOnShard(size_t shard, SoftEventId id,
                                 uint64_t delta_ticks);
@@ -265,11 +265,11 @@ class ShardedSoftTimerRuntime {
   // schedule): when the command drains, the target shard reschedules the
   // event `delta_ticks` from the enqueue tick and rebinds its remote-id
   // table, so this same id keeps naming the event afterwards. Local ids are
-  // rejected (a backend without native update renames them on reschedule,
-  // and an async command has no way to hand the new name back); owner
-  // threads use RescheduleOnShard instead. Returns true when the command
-  // was enqueued, with the usual async semantics: a re-arm racing the
-  // event's own dispatch is a no-op counted in remote_reschedule_misses.
+  // rejected (a reschedule renames them, and an async command has no way to
+  // hand the new name back); owner threads use RescheduleOnShard instead.
+  // Returns true when the command was enqueued, with the usual async
+  // semantics: a re-arm racing the event's own dispatch is a no-op counted
+  // in remote_reschedule_misses.
   bool RescheduleCrossCore(ProducerToken& token, SoftEventId id,
                            uint64_t delta_ticks);
 
@@ -302,18 +302,11 @@ class ShardedSoftTimerRuntime {
     uint64_t remote_rescheduled = 0;  // update commands that re-armed an event
     uint64_t remote_reschedule_misses = 0;
     size_t remote_live = 0;          // live entries in the remote-id table
-    // Snapshot of this shard facility's dispatch-lateness distribution
-    // (FireInfo::lateness_ticks), so per-shard latency health is readable
-    // through one accessor without reaching into the facility. Hosts that
-    // need full percentiles install a facility lateness probe feeding a
-    // LatencyHistogram instead (see ShardedRtHost).
-    SummaryStats lateness_ticks;
   };
   // Owner-thread (or quiesced) reads only.
   ShardStats shard_stats(size_t shard) const {
     ShardStats s = shards_[shard]->stats;
     s.remote_live = shards_[shard]->remote_ids.size();
-    s.lateness_ticks = shards_[shard]->facility->stats().lateness_ticks;
     return s;
   }
 
@@ -355,8 +348,9 @@ class ShardedSoftTimerRuntime {
     // fenced by the owner before a drain sweep so the clear cannot overwrite
     // a racing publish whose command the sweep missed. The full protocol and
     // its orderings live in src/core/remote_pending.h (model-checked by
-    // tests/model_check_test.cc).
-    RemotePendingFlag<> remote_pending;
+    // tests/model_check_test.cc). On its own cache line with `rings`, the
+    // two fields producers touch, apart from the owner-written stats.
+    alignas(kCacheLineBytes) RemotePendingFlag<> remote_pending;
     // One SPSC ring per producer slot.
     std::vector<std::unique_ptr<SpscRing<Command>>> rings;
   };

@@ -55,7 +55,7 @@ void SoftTimerFacility::DispatchFired(const TimerFired& fired,
   info.handler_tag = p.tag;
   ++stats_.dispatches;
   ++stats_.dispatches_by_source[static_cast<size_t>(dispatch_source_)];
-  stats_.lateness_ticks.Add(static_cast<double>(info.lateness_ticks()));
+  stats_.lateness_ticks.Record(info.lateness_ticks());
   // A non-zero cookie on the no-policy path marks a runtime-tracked event;
   // tell the owner (before the handler, so a handler rescheduling through
   // the runtime sees a consistent table) that this cookie is now dead.
@@ -193,9 +193,9 @@ SoftEventId SoftTimerFacility::RescheduleSoftEvent(SoftEventId id,
   if (payload == nullptr) {
     return SoftEventId{};  // already fired or cancelled
   }
-  // Rewrite the bookkeeping in place before the relink so both the native
-  // path (payload stays put) and the emulated cancel+reschedule (payload is
-  // moved into the new node) carry the fresh schedule stamp.
+  // Rewrite the bookkeeping in place before the relink so the payload that
+  // cancel+reschedule moves into the new node carries the fresh schedule
+  // stamp.
   uint64_t scheduled_tick = MeasureTime();
   payload->scheduled_tick = scheduled_tick;
   payload->delta_ticks = delta_ticks;

@@ -44,7 +44,7 @@
 #include "src/core/clock_source.h"
 #include "src/core/degradation_policy.h"
 #include "src/core/trigger.h"
-#include "src/stats/summary_stats.h"
+#include "src/stats/latency_histogram.h"
 #include "src/timer/timer_queue.h"
 
 namespace softtimer {
@@ -132,9 +132,8 @@ class SoftTimerFacility {
 
   // Re-arms a pending event to fire `delta_ticks` from now, preserving its
   // handler, tag, and cookie (no retire: the event stays alive). Returns the
-  // id naming the event afterwards - the input id itself when the backend
-  // updates natively (grouped sorting queue), a fresh id under the emulated
-  // cancel+reschedule - or an invalid id if the event already fired or was
+  // fresh id naming the event afterwards (the queue's Update is a
+  // cancel+reschedule), or an invalid id if the event already fired or was
   // cancelled. Treat the input id as consumed either way. The paper's
   // deadline rule applies as if freshly scheduled: the event fires at the
   // first trigger state past MeasureTime() + delta + 1. Zero-alloc; only
@@ -186,9 +185,10 @@ class SoftTimerFacility {
   // the handler and before the dispatch observer) with the event's FireInfo.
   // Kept as a plain pointer + context so installing and firing it never
   // allocates and costs one predictable indirect call on the hot path - this
-  // is how ShardedRtHost feeds its per-shard dispatch-lateness histograms
-  // (FireInfo::lateness_ticks per dispatch) without a std::function in the
-  // loop. Independent of the dispatch observer; both may be installed.
+  // is how ShardedRtHost classifies an isolated or SLO-carrying shard's
+  // dispatches (steal-clean histogram, SLO violations) without a
+  // std::function in the loop. Independent of the dispatch observer; both
+  // may be installed.
   using LatenessProbeFn = void (*)(void* ctx, const FireInfo& info);
   void set_lateness_probe(LatenessProbeFn fn, void* ctx) {
     lateness_probe_fn_ = fn;
@@ -254,7 +254,9 @@ class SoftTimerFacility {
     // Dispatches broken down by the trigger source that performed them.
     std::array<uint64_t, kNumTriggerSources> dispatches_by_source{};
     // Distribution of handler lateness (FireInfo::lateness_ticks), in ticks.
-    SummaryStats lateness_ticks;
+    // The one lateness recorder: ShardedRtHost reports it as a shard's raw
+    // dispatch-lateness histogram.
+    LatencyHistogram lateness_ticks;
     // Timer-node slab occupancy (refreshed from the queue on stats() reads):
     // slots currently backed by storage, and allocated nodes among them.
     uint32_t slab_capacity = 0;

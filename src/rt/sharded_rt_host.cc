@@ -28,8 +28,12 @@ ShardedRtHost::ShardedRtHost(Config config)
     ShardLoop& loop = *loops_.back();
     loop.isolated = profiles_[i].profile == ShardProfile::kIsolated;
     loop.slo_budget = profiles_[i].slo_lateness_ticks;
-    runtime_->shard_facility(i).set_lateness_probe(
-        &ShardedRtHost::LatenessProbe, &loop);
+    // A plain normal shard needs no probe: the facility's own lateness
+    // histogram is both its raw and its clean record.
+    if (loop.isolated || loop.slo_budget != 0) {
+      runtime_->shard_facility(i).set_lateness_probe(
+          &ShardedRtHost::LatenessProbe, &loop);
+    }
   }
 }
 
@@ -161,44 +165,7 @@ void ShardedRtHost::RunShard(size_t shard) {
     if (config_.idle_strategy == IdleStrategy::kBusyPoll) {
       continue;
     }
-    if (config_.idle_work) {
-      // Section 5.2: an idle CPU polls instead of halting. One idle shard at
-      // a time claims the shared work; it keeps the claim while its own
-      // timers are quiet and hands it back once they need service, so the
-      // work migrates to whichever shard is idle.
-      size_t expected = kNoIdleOwner;
-      bool owner =
-          // ordering: relaxed self-check - only this shard ever stores its
-          // own index, so reading it back needs no synchronization.
-          idle_owner_.load(std::memory_order_relaxed) == shard ||
-          // ordering: acq_rel claim - acquire pairs with the release
-          // handback below so the new owner sees the previous owner's
-          // idle_work effects; release publishes ours when we hand back.
-          idle_owner_.compare_exchange_strong(expected, shard,
-                                              std::memory_order_acq_rel);
-      if (owner) {
-        uint64_t horizon =
-            clock_.NowTicks() +
-            runtime_->shard_facility(shard).ticks_per_backup_interval();
-        std::optional<uint64_t> deadline =
-            runtime_->shard_facility(shard).NextDeadlineTick();
-        if (deadline && *deadline < horizon) {
-          // ordering: release handback - publishes this owner's idle_work
-          // effects to whichever shard claims the slot next (acquire CAS).
-          idle_owner_.store(kNoIdleOwner, std::memory_order_release);
-        } else {
-          config_.idle_work();
-          ++loop.stats.idle_work_runs;
-          continue;  // poll again right away; no sleep while owning
-        }
-      }
-    }
     SleepAndDispatch(shard);
-  }
-  // ordering: relaxed self-check + release handback, same pairing as the
-  // idle-work claim above (only this shard ever stores its own index).
-  if (idle_owner_.load(std::memory_order_relaxed) == shard) {
-    idle_owner_.store(kNoIdleOwner, std::memory_order_release);
   }
 }
 
@@ -207,11 +174,10 @@ void ShardedRtHost::LatenessProbe(void* ctx,
                                   const SoftTimerFacility::FireInfo& info) {
   auto* loop = static_cast<ShardLoop*>(ctx);
   uint64_t lateness = info.lateness_ticks();
-  loop->lateness_raw.Record(lateness);
   if (!loop->isolated) {
-    // Normal profile: no steal detection, every dispatch is clean.
-    loop->lateness_clean.Record(lateness);
-    if (loop->slo_budget != 0 && lateness > loop->slo_budget) {
+    // Normal profile with an SLO: no steal detection, every dispatch is
+    // clean and already in the facility's histogram.
+    if (lateness > loop->slo_budget) {
       ++loop->iso.slo_violations;
     }
     return;
@@ -371,12 +337,13 @@ ShardedRtHost::IsolatedShardStats ShardedRtHost::isolated_shard_stats(
 }
 
 const LatencyHistogram& ShardedRtHost::shard_lateness_raw(size_t shard) const {
-  return loops_[shard]->lateness_raw;
+  return runtime_->shard_facility(shard).stats().lateness_ticks;
 }
 
 const LatencyHistogram& ShardedRtHost::shard_lateness_clean(
     size_t shard) const {
-  return loops_[shard]->lateness_clean;
+  const ShardLoop& loop = *loops_[shard];
+  return loop.isolated ? loop.lateness_clean : shard_lateness_raw(shard);
 }
 
 }  // namespace softtimer

@@ -1,32 +1,31 @@
-// Multi-core real-time host for ShardedSoftTimerRuntime: one trigger-loop
-// thread per shard, each playing the role the paper assigns to a CPU.
+// Real-time host for ShardedSoftTimerRuntime: one trigger-loop thread per
+// shard, each playing the role the paper assigns to a CPU. A one-shard host
+// runs the paper's mechanism in an ordinary user-space event loop instead
+// of the simulator.
 //
 // Every shard thread alternates trigger-state checks with backup-bounded
-// sleeps, exactly like RtSoftTimerHost does for one core: a sleep never
-// extends past the earlier of the shard's next soft-event deadline and one
-// backup period, so the paper's T < actual < T + X + 1 bound holds per
-// shard. Two things are multi-core specific:
+// sleeps: a sleep never extends past the earlier of the shard's next
+// soft-event deadline and one backup period, so the paper's
+// T < actual < T + X + 1 bound holds per shard. Work that belongs at the
+// loop's natural check points runs inside the loop: Config::shard_tick
+// after every check (under IdleStrategy::kBusyPoll the loop never sleeps -
+// a DPDK-style busy event loop), and Config::queue_work for the network
+// polling every shard serves (Section 5.2: idle CPUs poll instead of
+// halting).
 //
-//  * Wakeups. A cross-core schedule must not wait out the target shard's
-//    sleep, so the runtime's wake hook pokes the target thread's eventcount
-//    (atomic `sleeping` flag + condvar). Producers take the shard's mutex
-//    only when the target is actually asleep; the seq_cst fences on both
-//    sides close the classic sleep/publish race, and the backup bound makes
-//    even a hypothetical missed wakeup a bounded-lateness event, never a
-//    lost one.
-//
-//  * Idle-shard work takeover. The paper has idle CPUs poll the network
-//    instead of halting (Section 5.2; mirrored by tests/smp_test.cc). When
-//    Config::idle_work is set, at most one otherwise-idle shard at a time
-//    claims it (single atomic owner slot) and busy-runs it instead of
-//    sleeping, releasing the claim as soon as its own timers need service.
+// Wakeups. A cross-core schedule must not wait out the target shard's
+// sleep, so the runtime's wake hook pokes the target thread's eventcount
+// (atomic `sleeping` flag + condvar). Producers take the shard's mutex only
+// when the target is actually asleep; the seq_cst fences on both sides
+// close the classic sleep/publish race, and the backup bound makes even a
+// hypothetical missed wakeup a bounded-lateness event, never a lost one.
 //
 // Per-shard profiles (DESIGN.md section 14). Each shard runs one of two
 // loop profiles, selected by Config::shard_profiles so mixed-profile hosts
 // are first-class:
 //
 //  * kNormal - the loop described above (trigger checks + backup-bounded
-//    sleeps, optional idle-work takeover).
+//    sleeps).
 //
 //  * kIsolated - a latency-SLO dedicated core: the loop spins on
 //    trigger-state checks forever (CpuRelax() pause hint per iteration) and
@@ -118,19 +117,15 @@ class ShardedRtHost {
     IdleStrategy idle_strategy = IdleStrategy::kSleep;
     size_t max_producers = 8;
     size_t ring_capacity = 1024;
-    // Shared polling work (e.g. the network poll loop). When set, one
-    // otherwise-idle shard at a time runs it instead of sleeping. Must be
-    // thread-compatible: it is only ever run by one shard at a time, but
-    // that shard changes over time.
-    std::function<size_t()> idle_work;
-    // M-on-N claimed queue polling (MultiQueuePoller, src/net). Unlike
-    // idle_work's single-owner arbiter, queue_work is served by EVERY
-    // kNormal shard concurrently - per-queue exclusivity is the callee's
-    // problem (the QueueClaim protocol). `poll` runs once per loop
-    // iteration (it claims and drains at most one due queue; the loop keeps
-    // serving while it returns packets), and `next_due` bounds the shard's
-    // sleep so no due queue waits for a backup interrupt when every shard
-    // has parked. Isolated shards never touch it - the core is dedicated.
+    // M-on-N claimed queue polling (MultiQueuePoller, src/net): the shared
+    // idle-time work of the paper's Section 5.2 (idle CPUs poll the network
+    // instead of halting). queue_work is served by EVERY kNormal shard
+    // concurrently - per-queue exclusivity is the callee's problem (the
+    // QueueClaim protocol). `poll` runs once per loop iteration (it claims
+    // and drains at most one due queue; the loop keeps serving while it
+    // returns packets), and `next_due` bounds the shard's sleep so no due
+    // queue waits for a backup interrupt when every shard has parked.
+    // Isolated shards never touch it - the core is dedicated.
     struct QueueWork {
       // (shard, now_tick) -> packets drained; typically
       // MultiQueuePoller::PollOnce with shard as the core id.
@@ -149,7 +144,7 @@ class ShardedRtHost {
     // Per-shard profiles. Empty = every shard runs kNormal. Otherwise must
     // have exactly num_shards entries; mixed hosts (isolated shard 0 beside
     // normal shard 1) are the intended use. Isolated shards ignore
-    // idle_strategy and never claim idle_work - the core is dedicated.
+    // idle_strategy and queue_work - the core is dedicated.
     std::vector<ShardProfileConfig> shard_profiles;
   };
 
@@ -182,7 +177,6 @@ class ShardedRtHost {
     uint64_t sleeps = 0;         // condvar sleeps entered
     uint64_t backup_checks = 0;  // checks attributed to the backup interrupt
     uint64_t wakeups = 0;        // producer pokes delivered to a sleeper
-    uint64_t idle_work_runs = 0; // idle_work invocations by this shard
     uint64_t queue_polls = 0;    // queue_work.poll invocations by this shard
     uint64_t queue_packets = 0;  // packets those invocations drained
   };
@@ -214,10 +208,11 @@ class ShardedRtHost {
   IsolatedShardStats isolated_shard_stats(size_t shard) const;
 
   // Dispatch-lateness histograms (FireInfo::lateness_ticks per dispatched
-  // handler), fed by a facility lateness probe on EVERY shard. On a normal
-  // shard raw == clean; on an isolated shard, clean excludes steal-adjacent
-  // dispatches (see header comment). Written by the shard's loop thread:
-  // read after Stop(), or from the loop thread itself (shard_tick hooks).
+  // handler). Raw is the shard facility's Stats::lateness_ticks. On a normal
+  // shard clean is that same histogram; on an isolated shard it excludes
+  // steal-adjacent dispatches (see header comment). Written by the shard's
+  // loop thread: read after Stop(), or from the loop thread itself
+  // (shard_tick hooks).
   const LatencyHistogram& shard_lateness_raw(size_t shard) const;
   const LatencyHistogram& shard_lateness_clean(size_t shard) const;
 
@@ -250,15 +245,15 @@ class ShardedRtHost {
     uint64_t slo_budget = 0;
     size_t pending_clean_count = 0;
     std::array<uint64_t, kCleanBufferCap> pending_clean{};
-    LatencyHistogram lateness_raw;
-    LatencyHistogram lateness_clean;
+    LatencyHistogram lateness_clean;  // isolated shards only
     std::thread thread;
   };
 
   static void WakeShard(void* ctx, size_t shard);
-  // Facility lateness probe, installed on every shard facility with the
-  // shard's ShardLoop as context; runs inside DispatchFired on the loop
-  // thread (or whichever thread drives a quiesced facility in tests).
+  // Facility lateness probe, installed on isolated and SLO-carrying shard
+  // facilities with the shard's ShardLoop as context; runs inside
+  // DispatchFired on the loop thread (or whichever thread drives a quiesced
+  // facility in tests).
   static void LatenessProbe(void* ctx, const SoftTimerFacility::FireInfo& info);
   void RunShard(size_t shard);
   void RunShardIsolated(size_t shard);
@@ -278,10 +273,6 @@ class ShardedRtHost {
   std::vector<std::unique_ptr<ShardLoop>> loops_;
   std::atomic<bool> stop_{false};
   bool running_ = false;
-  // Idle-work arbiter: index of the shard currently running idle_work, or
-  // kNoIdleOwner. Claimed with a single CAS by an idle shard.
-  static constexpr size_t kNoIdleOwner = static_cast<size_t>(-1);
-  std::atomic<size_t> idle_owner_{kNoIdleOwner};
 };
 
 }  // namespace softtimer

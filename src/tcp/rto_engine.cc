@@ -161,8 +161,8 @@ size_t RtoEngine::OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq) {
     }
     // RFC 6298 step 5.3: new data was acknowledged with segments still in
     // flight, so restart the retransmission timer from now at the refreshed
-    // (backoff-collapsed, re-estimated) RTO. One in-place reschedule per
-    // survivor - the native update path, not a cancel+schedule pair.
+    // (backoff-collapsed, re-estimated) RTO. One reschedule per survivor,
+    // which keeps the timer's handler and never allocates.
     if (conn->live > 0) {
       uint64_t rto = EffectiveRto(*conn);
       for (uint32_t i = 0; i < conn->live; ++i) {

@@ -123,8 +123,8 @@ class RtoEngine {
   // resets backoff on forward progress. On forward progress with segments
   // still in flight it restarts the survivors' timers from now at the
   // refreshed RTO (RFC 6298 step 5.3) through the runtime's reschedule
-  // path - a single in-place update per survivor, not a cancel+schedule
-  // pair. Returns segments retired.
+  // path - one allocation-free re-arm per survivor that keeps its handler.
+  // Returns segments retired.
   // Hot path - marked SOFTTIMER_HOT at the definition.
   size_t OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq);
 

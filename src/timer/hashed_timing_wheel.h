@@ -52,8 +52,8 @@ class HashedTimingWheel : public TimerQueue {
                ? slab_.at(TimerIdIndex(id.value)).payload.user_data
                : 0;
   }
-  // kCancelledDue is excluded: its Cancel already returned true once, so the
-  // inherited Update emulation must see it as stale, not revive it.
+  // kCancelledDue is excluded: its Cancel already returned true once, so
+  // TimerQueue::Update must see it as stale, not revive it.
   TimerPayload* MutablePayload(TimerId id) override {
     if (!slab_.IsCurrent(id.value)) {
       return nullptr;

@@ -1,18 +1,17 @@
 #include "src/timer/timer_queue.h"
 
 #include "src/timer/callout_list_timer_queue.h"
-#include "src/timer/grouped_sorting_queue.h"
 #include "src/timer/hashed_timing_wheel.h"
 #include "src/timer/heap_timer_queue.h"
 #include "src/timer/hierarchical_timing_wheel.h"
 
 namespace softtimer {
 
-// Default Update: cancel+reschedule with the payload carried across on the
-// stack. MutablePayload gates out kCancelledDue nodes (their Cancel already
+// Update: cancel+reschedule with the payload carried across on the stack.
+// MutablePayload gates out kCancelledDue nodes (their Cancel already
 // returned true once), so the Cancel below can only fail if the id went
 // stale between the two calls - impossible under the single-threaded queue
-// contract, but restore-and-bail keeps the emulation self-contained.
+// contract, but restore-and-bail keeps the operation self-contained.
 // SOFTTIMER_HOT
 TimerId TimerQueue::Update(TimerId id, uint64_t new_deadline_tick) {
   TimerPayload* payload = MutablePayload(id);
@@ -37,8 +36,6 @@ std::unique_ptr<TimerQueue> MakeTimerQueue(TimerQueueKind kind, uint64_t tick_gr
       return std::make_unique<HierarchicalTimingWheel>(tick_granularity);
     case TimerQueueKind::kCalloutList:
       return std::make_unique<CalloutListTimerQueue>();
-    case TimerQueueKind::kGroupedSorting:
-      return std::make_unique<GroupedSortingQueue>(tick_granularity);
   }
   return nullptr;
 }
@@ -53,8 +50,6 @@ const char* TimerQueueKindName(TimerQueueKind kind) {
       return "hier-wheel";
     case TimerQueueKind::kCalloutList:
       return "callout-list";
-    case TimerQueueKind::kGroupedSorting:
-      return "grouped-sort";
   }
   return "unknown";
 }

@@ -1,16 +1,16 @@
 // TimerQueue: the data-structure interface under the soft-timer facility.
 //
 // The paper maintains scheduled soft-timer events in "a modified form of
-// timing wheels [Varghese & Lauck]". This library provides five
+// timing wheels [Varghese & Lauck]". This library provides four
 // interchangeable implementations behind one interface:
 //
-//   HeapTimerQueue           - binary heap; the textbook baseline.
-//   HashedTimingWheel        - single-level hashed wheel with rounds.
+//   HashedTimingWheel        - single-level hashed wheel with rounds; the
+//                              paper's structure and every host's default.
+//   HeapTimerQueue           - binary heap; the textbook baseline and the
+//                              oracle of the differential tests.
 //   HierarchicalTimingWheel  - multi-level cascading wheel.
 //   CalloutListTimerQueue    - sorted list; the 4.3BSD callout structure
 //                              timing wheels were invented to replace.
-//   GroupedSortingQueue      - coarse deadline groups sorted lazily on
-//                              imminence, with native O(1) Update.
 //
 // All of them deal in abstract unsigned "ticks" (the facility maps its
 // measurement clock onto ticks). Deadlines are absolute tick values.
@@ -42,8 +42,6 @@
 //    timer afterwards (an invalid id for stale/fired/cancelled inputs).
 //    Observably it is cancel+reschedule: the moved timer fires at the new
 //    deadline in fresh schedule order, past deadlines clamp like Schedule.
-//    Backends without a native path inherit exactly that emulation;
-//    GroupedSortingQueue relinks the node in place and returns `id` itself.
 
 #ifndef SOFTTIMER_SRC_TIMER_TIMER_QUEUE_H_
 #define SOFTTIMER_SRC_TIMER_TIMER_QUEUE_H_
@@ -202,10 +200,9 @@ class TimerQueue {
   // Moves a live timer to `new_deadline_tick`, preserving its payload, and
   // returns the id naming the timer afterwards; an invalid id if `id` is
   // stale/fired/cancelled (the reused slot, if any, is left untouched).
-  // The default is an allocation-free cancel+reschedule emulation (the
-  // returned id carries a fresh generation); backends with native update
-  // relink in place and return `id` unchanged.
-  virtual TimerId Update(TimerId id, uint64_t new_deadline_tick);
+  // An allocation-free cancel+reschedule: the returned id carries a fresh
+  // generation.
+  TimerId Update(TimerId id, uint64_t new_deadline_tick);
 
   // The live timer's payload for in-place metadata edits, or nullptr for
   // stale/fired/cancelled ids. Callers must not touch the handler slot of a
@@ -255,7 +252,6 @@ enum class TimerQueueKind {
   kHashedWheel,
   kHierarchicalWheel,
   kCalloutList,
-  kGroupedSorting,
 };
 
 // Creates a queue of the given kind. `tick_granularity` is the wheel slot

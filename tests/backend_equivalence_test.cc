@@ -73,8 +73,7 @@ TEST(BackendEquivalenceTest, IdenticalDispatchTracesAcrossAllTimerQueues) {
   ASSERT_GT(reference.size(), 3'000u);
   for (TimerQueueKind kind : {TimerQueueKind::kHashedWheel,
                               TimerQueueKind::kHierarchicalWheel,
-                              TimerQueueKind::kCalloutList,
-                              TimerQueueKind::kGroupedSorting}) {
+                              TimerQueueKind::kCalloutList}) {
     std::vector<Dispatch> trace = RunBackend(kind);
     EXPECT_EQ(trace.size(), reference.size()) << TimerQueueKindName(kind);
     ASSERT_EQ(trace, reference) << TimerQueueKindName(kind);

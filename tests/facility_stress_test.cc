@@ -109,8 +109,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, FacilityStress,
                          ::testing::Values(TimerQueueKind::kHeap,
                                            TimerQueueKind::kHashedWheel,
                                            TimerQueueKind::kHierarchicalWheel,
-                                           TimerQueueKind::kCalloutList,
-                                           TimerQueueKind::kGroupedSorting),
+                                           TimerQueueKind::kCalloutList),
                          [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
                            std::string n = TimerQueueKindName(info.param);
                            std::string out;

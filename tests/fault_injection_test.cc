@@ -373,7 +373,7 @@ TEST(FaultInjectionTest, FacilityToleratesClockStall) {
   sim.RunUntil(SimTime::Zero() + SimDuration::Micros(525));
   fac.OnTriggerState(TriggerSource::kSyscall);
   EXPECT_EQ(fired, 1);
-  EXPECT_LT(fac.stats().lateness_ticks.max(), 1'000.0);
+  EXPECT_LT(fac.stats().lateness_ticks.max(), 1'000u);
 }
 
 // --- Link faults -------------------------------------------------------------

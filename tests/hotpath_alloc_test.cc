@@ -105,9 +105,8 @@ TEST_P(HotpathAllocTest, SteadyStateDispatchAllocatesNothing) {
 
 TEST_P(HotpathAllocTest, SteadyStateRescheduleAllocatesNothing) {
   // Re-arm churn - the RTO restart pattern: a pool of live events whose
-  // deadlines keep moving. Both the native update (grouped sorting queue)
-  // and the emulated cancel+reschedule on the other backends must stay off
-  // the heap once the slab has grown.
+  // deadlines keep moving. Update's cancel+reschedule must stay off the
+  // heap once the slab has grown.
   uint64_t* fired = &fired_;
   auto handler = [fired](const SoftTimerFacility::FireInfo&) { ++*fired; };
   std::vector<SoftEventId> ids(256);
@@ -120,7 +119,7 @@ TEST_P(HotpathAllocTest, SteadyStateRescheduleAllocatesNothing) {
       ASSERT_TRUE(ids[i].valid());
     }
   };
-  round(20'000);  // warmup: emulated backends relink through fresh slots
+  round(20'000);  // warmup: each re-arm relinks through a fresh slot
   round(10'000);
   uint64_t start = AllocProbeAllocCount();
   for (int r = 0; r < 8; ++r) {
@@ -293,7 +292,6 @@ std::string KindName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
     case TimerQueueKind::kHashedWheel: return "HashedWheel";
     case TimerQueueKind::kHierarchicalWheel: return "HierarchicalWheel";
     case TimerQueueKind::kCalloutList: return "CalloutList";
-    case TimerQueueKind::kGroupedSorting: return "GroupedSorting";
   }
   return "Unknown";
 }
@@ -302,16 +300,14 @@ INSTANTIATE_TEST_SUITE_P(
     AllQueueKinds, PacingWheelAllocTest,
     ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
                       TimerQueueKind::kHierarchicalWheel,
-                      TimerQueueKind::kCalloutList,
-                      TimerQueueKind::kGroupedSorting),
+                      TimerQueueKind::kCalloutList),
     KindName);
 
 INSTANTIATE_TEST_SUITE_P(
     AllQueueKinds, HotpathAllocTest,
     ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
                       TimerQueueKind::kHierarchicalWheel,
-                      TimerQueueKind::kCalloutList,
-                      TimerQueueKind::kGroupedSorting),
+                      TimerQueueKind::kCalloutList),
     KindName);
 
 }  // namespace

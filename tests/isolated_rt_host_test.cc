@@ -2,7 +2,7 @@
 // dedicated spinning trigger loop beside a normal sleeping shard, cross-core
 // scheduling onto the spinner from a normal producer, shutdown while the
 // spin is in flight, the compensated/disabled software-backup contract, and
-// the lateness histograms + SLO accounting fed by the facility probe. Real
+// the lateness histograms + SLO accounting fed by the facility. Real
 // threads and wall-clock sleeps; bounds are loose for loaded CI machines.
 // Runs under the `cross-thread` and `isolated` labels / tsan preset.
 
@@ -57,8 +57,8 @@ TEST(IsolatedRtHostTest, MixedProfileHostFiresOnBothShards) {
   EXPECT_EQ(iso_loop.sleeps, 0u);
   EXPECT_GT(iso_loop.polls, 0u);
   EXPECT_GT(normal_loop.sleeps, 0u);
-  // Both dispatches landed in their shard's raw histogram via the probe;
-  // on the normal shard clean mirrors raw exactly.
+  // Both dispatches landed in their shard's raw histogram; on the normal
+  // shard clean is raw.
   EXPECT_EQ(host.shard_lateness_raw(0).count(), 1u);
   EXPECT_EQ(host.shard_lateness_raw(1).count(), 1u);
   EXPECT_EQ(host.shard_lateness_clean(1).count(), 1u);
@@ -178,11 +178,11 @@ TEST(IsolatedRtHostTest, DisabledBackupNeverChecksButTimersStillFire) {
 }
 
 TEST(IsolatedRtHostTest, SloViolationsCountOverBudgetDispatches) {
-  // Quiesced (never Start()ed) host: the probe still feeds the histograms
-  // and SLO counter when the owner thread drives checks by hand, which
-  // makes the over-budget case deterministic - sleep far past the deadline,
-  // then check. Shard 1 (normal profile) carries the SLO here: on a normal
-  // shard every dispatch is clean, so the counter must see it.
+  // Quiesced (never Start()ed) host: the facility still feeds the
+  // histograms and SLO counter when the owner thread drives checks by hand,
+  // which makes the over-budget case deterministic - sleep far past the
+  // deadline, then check. Shard 1 (normal profile) carries the SLO here: on
+  // a normal shard every dispatch is clean, so the counter must see it.
   ShardedRtHost::Config cfg = MixedConfig();
   cfg.shard_profiles[1].slo_lateness_ticks = 50'000;  // 50 ms budget
   ShardedRtHost host(cfg);
@@ -215,8 +215,9 @@ TEST(IsolatedRtHostTest, SloViolationsCountOverBudgetDispatches) {
 }
 
 TEST(IsolatedRtHostTest, RuntimeShardStatsCarryLatenessSummary) {
-  // The runtime-level ShardStats snapshot mirrors the facility's lateness
-  // SummaryStats, so callers get per-shard latency health without the host.
+  // Each shard facility's Stats::lateness_ticks histogram is the shard's one
+  // lateness record: the runtime exposes it through the shard facility, and
+  // the host's raw accessor returns that same histogram, isolated or not.
   ShardedRtHost::Config cfg = MixedConfig();
   ShardedRtHost host(cfg);
   std::atomic<int> fired{0};
@@ -227,10 +228,13 @@ TEST(IsolatedRtHostTest, RuntimeShardStatsCarryLatenessSummary) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   host.runtime().OnTriggerState(0, TriggerSource::kSyscall);
   ASSERT_EQ(fired.load(), 1);
-  ShardedSoftTimerRuntime::ShardStats ss = host.runtime().shard_stats(0);
-  EXPECT_EQ(ss.lateness_ticks.count(), 1u);
-  EXPECT_GT(ss.lateness_ticks.max(), 0.0);
-  EXPECT_EQ(host.runtime().shard_stats(1).lateness_ticks.count(), 0u);
+  const LatencyHistogram& lateness =
+      host.runtime().shard_facility(0).stats().lateness_ticks;
+  EXPECT_EQ(lateness.count(), 1u);
+  EXPECT_GT(lateness.max(), 0u);
+  EXPECT_EQ(&host.shard_lateness_raw(0), &lateness);
+  EXPECT_EQ(host.runtime().shard_facility(1).stats().lateness_ticks.count(),
+            0u);
 }
 
 }  // namespace

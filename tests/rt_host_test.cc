@@ -1,16 +1,45 @@
-// Real-time host tests. These use actual wall-clock sleeps; delays are kept
-// in the hundreds-of-microseconds range and assertions are loose upper
-// bounds so the suite stays robust on loaded machines.
+// Real-time host tests on a one-shard ShardedRtHost: the single-core case of
+// the paper's mechanism on wall-clock time. These use actual wall-clock
+// sleeps; delays are kept in the hundreds-of-microseconds range and
+// assertions are loose upper bounds so the suite stays robust on loaded
+// machines.
 
-#include "src/rt/rt_soft_timer_host.h"
+#include "src/rt/sharded_rt_host.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 namespace softtimer {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+ShardedRtHost::Config OneShard(ShardedRtHost::IdleStrategy idle) {
+  ShardedRtHost::Config cfg;
+  cfg.num_shards = 1;
+  cfg.measure_hz = 1'000'000;      // 1 tick = 1 us
+  cfg.interrupt_clock_hz = 1'000;  // 1 ms backup period
+  cfg.idle_strategy = idle;
+  return cfg;
+}
+
+int64_t MicrosSince(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                               start)
+      .count();
+}
+
+// Polls `done` until it holds or `limit` elapses.
+void WaitFor(const std::atomic<bool>& done, std::chrono::milliseconds limit) {
+  auto deadline = Clock::now() + limit;
+  while (!done.load(std::memory_order_acquire) && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
 
 TEST(MonotonicClockSourceTest, TicksAdvanceWithWallTime) {
   MonotonicClockSource clock(1'000'000);
@@ -31,90 +60,108 @@ TEST(MonotonicClockSourceTest, UntilTickIsZeroForPast) {
 }
 
 TEST(RtHostTest, EventFiresFromApplicationPolls) {
-  RtSoftTimerHost host;
-  bool fired = false;
-  auto start = std::chrono::steady_clock::now();
-  host.facility().ScheduleSoftEvent(500,  // 500 us
-                                    [&](const SoftTimerFacility::FireInfo&) { fired = true; });
-  while (!fired &&
-         std::chrono::steady_clock::now() - start < std::chrono::milliseconds(200)) {
-    // A busy event loop passing through its trigger point.
-    host.PollTriggerState();
-  }
-  EXPECT_TRUE(fired);
-  auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  EXPECT_GE(elapsed, 500);
+  // A busy event loop: kBusyPoll never sleeps, and shard_tick is the
+  // application work the loop runs between trigger-state checks.
+  ShardedRtHost::Config cfg = OneShard(ShardedRtHost::IdleStrategy::kBusyPoll);
+  uint64_t work_items = 0;  // loop thread only; read after Stop()
+  cfg.shard_tick = [&](size_t) { ++work_items; };
+  ShardedRtHost host(cfg);
+  std::atomic<bool> fired{false};
+  auto start = Clock::now();
+  host.runtime().ScheduleOnShard(
+      0, 500,  // 500 us
+      [&](const SoftTimerFacility::FireInfo&) {
+        fired.store(true, std::memory_order_release);
+      });
+  host.Start();
+  WaitFor(fired, std::chrono::milliseconds(200));
+  int64_t elapsed_us = MicrosSince(start);
+  host.Stop();
+  EXPECT_TRUE(fired.load());
+  EXPECT_GE(elapsed_us, 500);
+  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(0);
+  EXPECT_EQ(loop.sleeps, 0u);
+  EXPECT_GT(loop.polls, 0u);
+  EXPECT_GT(work_items, 0u);
 }
 
 TEST(RtHostTest, SleepAndDispatchHonorsDeadline) {
-  RtSoftTimerHost host;
-  bool fired = false;
-  host.facility().ScheduleSoftEvent(1'000,
-                                    [&](const SoftTimerFacility::FireInfo&) { fired = true; });
-  auto start = std::chrono::steady_clock::now();
-  while (!fired &&
-         std::chrono::steady_clock::now() - start < std::chrono::milliseconds(500)) {
-    host.SleepAndDispatch();
-  }
-  EXPECT_TRUE(fired);
-  auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  std::atomic<bool> fired{false};
+  auto start = Clock::now();
+  host.runtime().ScheduleOnShard(0, 1'000,
+                                 [&](const SoftTimerFacility::FireInfo&) {
+                                   fired.store(true, std::memory_order_release);
+                                 });
+  host.Start();
+  WaitFor(fired, std::chrono::milliseconds(500));
+  int64_t elapsed_us = MicrosSince(start);
+  host.Stop();
+  EXPECT_TRUE(fired.load());
   EXPECT_GE(elapsed_us, 1'000);
   // Generous bound: scheduler jitter, but nowhere near the 500 ms cap.
   EXPECT_LT(elapsed_us, 300'000);
+  EXPECT_GT(host.shard_loop_stats(0).sleeps, 0u);
 }
 
 TEST(RtHostTest, SleepWithoutEventsBoundsAtBackupPeriod) {
-  RtSoftTimerHost::Config cfg;
-  cfg.interrupt_clock_hz = 1'000;  // 1 ms backup
-  RtSoftTimerHost host(cfg);
-  auto start = std::chrono::steady_clock::now();
-  host.SleepAndDispatch();
-  auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  EXPECT_GE(elapsed_us, 900);
-  EXPECT_LT(elapsed_us, 100'000);
-  EXPECT_EQ(host.stats().backup_checks, 1u);
+  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  auto start = Clock::now();
+  host.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  host.Stop();
+  int64_t elapsed_us = MicrosSince(start);
+  // With nothing scheduled every sleep runs to the 1 ms backup bound: at
+  // least one backup check happened, and no sleep ended much short of a
+  // full period (at most one backup check per 900 us).
+  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(0);
+  EXPECT_GE(loop.backup_checks, 1u);
+  EXPECT_LE(loop.backup_checks, static_cast<uint64_t>(elapsed_us / 900 + 1));
+  EXPECT_GE(loop.sleeps, loop.backup_checks);
 }
 
 TEST(RtHostTest, RunForDispatchesPeriodicWork) {
-  RtSoftTimerHost host;
-  int fires = 0;
+  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  SoftTimerFacility& facility = host.runtime().shard_facility(0);
+  std::atomic<int> fires{0};
+  // Handlers run on the shard's loop thread, which owns the facility.
   std::function<void(const SoftTimerFacility::FireInfo&)> periodic =
       [&](const SoftTimerFacility::FireInfo&) {
-        ++fires;
-        host.facility().ScheduleSoftEvent(1'000, periodic);  // every ~1 ms
+        fires.fetch_add(1, std::memory_order_relaxed);
+        facility.ScheduleSoftEvent(1'000, periodic);  // every ~1 ms
       };
-  host.facility().ScheduleSoftEvent(1'000, periodic);
-  host.RunFor(std::chrono::milliseconds(30));
+  facility.ScheduleSoftEvent(1'000, periodic);
+  host.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  host.Stop();
   // ~30 fires expected; accept a broad band for loaded CI machines.
-  EXPECT_GE(fires, 10);
-  EXPECT_LE(fires, 40);
+  EXPECT_GE(fires.load(), 10);
+  EXPECT_LE(fires.load(), 40);
 }
 
 TEST(RtHostTest, LatenessStaysWithinPaperBoundUnderSleepLoop) {
-  RtSoftTimerHost host;
-  uint64_t x = host.facility().ticks_per_backup_interval();
-  SummaryStats lateness;
+  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  SoftTimerFacility& facility = host.runtime().shard_facility(0);
+  uint64_t x = facility.ticks_per_backup_interval();
+  int fires = 0;  // loop thread only; read after Stop()
   std::function<void(const SoftTimerFacility::FireInfo&)> handler =
-      [&](const SoftTimerFacility::FireInfo& info) {
-        lateness.Add(static_cast<double>(info.lateness_ticks()));
-        if (lateness.count() < 20) {
-          host.facility().ScheduleSoftEvent(700, handler);
+      [&](const SoftTimerFacility::FireInfo&) {
+        if (++fires < 20) {
+          facility.ScheduleSoftEvent(700, handler);
         }
       };
-  host.facility().ScheduleSoftEvent(700, handler);
-  host.RunFor(std::chrono::milliseconds(60));
+  facility.ScheduleSoftEvent(700, handler);
+  host.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  host.Stop();
+  const LatencyHistogram& lateness = host.shard_lateness_raw(0);
   ASSERT_GE(lateness.count(), 10u);
+  EXPECT_EQ(lateness.count(), static_cast<uint64_t>(fires));
   // T < actual: lateness >= 1 always. The upper bound holds as long as the
   // OS wakes us near the requested time; allow generous scheduler slop for
   // loaded CI machines.
-  EXPECT_GE(lateness.min(), 1.0);
-  EXPECT_LT(lateness.max(), static_cast<double>(6 * x));
+  EXPECT_GE(lateness.min(), 1u);
+  EXPECT_LT(lateness.max(), 6 * x);
 }
 
 }  // namespace

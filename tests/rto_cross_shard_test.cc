@@ -9,6 +9,12 @@
 // cancel path), some after (retransmit already happened; the late ACK
 // retires a Karn-marked segment). The engine must survive both arms with
 // exact timer accounting and zero stale fires.
+//
+// The virtual clock only advances once every ACK put on the wire has been
+// published as a command, so an ACK's deadline is its send tick plus its
+// wire delay however the OS schedules the two threads. Without that, a
+// starved NIC thread lets the owner run the clock on until every
+// connection exhausts its retransmit budget.
 
 #include <gtest/gtest.h>
 
@@ -70,6 +76,8 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   // (conn_id, seq_end) pairs awaiting an ACK, owner -> NIC thread.
   std::mutex wire_mutex;
   std::deque<std::pair<uint64_t, uint64_t>> wire;
+  // ACKs the owner has put on the wire that the NIC has not yet published.
+  std::atomic<uint64_t> unpublished{0};
   std::atomic<bool> sends_done{false};
   std::atomic<bool> acks_done{false};
 
@@ -110,6 +118,9 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
       // The retry helper must absorb ring bursts; losing an ACK here would
       // break the accounting below.
       ASSERT_TRUE(id.valid());
+      // Release: the clock read inside the schedule above happens before
+      // the owner's next Advance.
+      unpublished.fetch_sub(1, std::memory_order_release);
     }
     acks_done.store(true, std::memory_order_release);
   });
@@ -126,7 +137,10 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   while (sent < kSegmentsTotal) {
     // Guard against livelock regressions: fail loudly instead of hanging.
     ASSERT_LT(++iterations, 20'000'000u) << "owner loop made no progress";
-    clock.Advance(25);
+    bool acks_published = unpublished.load(std::memory_order_acquire) == 0;
+    if (acks_published) {
+      clock.Advance(25);
+    }
     rt.OnTriggerState(0, TriggerSource::kSyscall);
     int sent_this_iter = 0;
     for (size_t i = 0; i < kConns && sent < kSegmentsTotal; ++i) {
@@ -139,15 +153,15 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
       ASSERT_TRUE(engine.OnSegmentSent(conns[i], seq));
       ++sent;
       ++sent_this_iter;
+      unpublished.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(wire_mutex);
         wire.emplace_back(conns[i], seq);
       }
     }
-    if (sent_this_iter == 0) {
-      // Windows full: the NIC thread owes us ACKs. Yield so it can run -
-      // otherwise on one CPU the virtual clock races ahead of ACK delivery
-      // and every connection spuriously exhausts its retry budget.
+    if (sent_this_iter == 0 || !acks_published) {
+      // Windows full, or ACKs still on the wire: the NIC thread owes us
+      // work. Yield so it can run (this may be a single-CPU machine).
       std::this_thread::yield();
     }
   }
@@ -155,7 +169,9 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   // Keep the shard ticking until the NIC thread has pushed every ACK, then
   // let in-flight ACK timers and RTOs settle.
   while (!acks_done.load(std::memory_order_acquire)) {
-    clock.Advance(25);
+    if (unpublished.load(std::memory_order_acquire) == 0) {
+      clock.Advance(25);
+    }
     rt.OnTriggerState(0, TriggerSource::kSyscall);
     std::this_thread::yield();
   }

@@ -258,42 +258,6 @@ TEST(RtoEngineTest, PartialAckRestartsSurvivorTimers) {
             h.engine.stats().timers_cancelled + h.engine.stats().timers_fired);
 }
 
-TEST(RtoEngineTest, PartialAckRestartBehavesTheSameOnNativeUpdateBackend) {
-  // The restart goes through RescheduleOnShard, which renames ids on
-  // emulated-update backends but keeps them on the grouped-sorting queue;
-  // the engine must be agnostic. Replay the scenario above on the native
-  // backend and expect identical counters.
-  ManualClock clock;
-  ShardedSoftTimerRuntime::Config rc = Harness::RtCfg();
-  rc.facility.queue_kind = TimerQueueKind::kGroupedSorting;
-  ShardedSoftTimerRuntime rt(&clock, rc);
-  RtoEngine engine(&rt, nullptr, Harness::DefaultEngineCfg());
-
-  uint64_t conn = engine.OpenConnection(nullptr);
-  for (uint32_t i = 1; i <= 4; ++i) {
-    EXPECT_TRUE(engine.OnSegmentSent(conn, i * 1'000));
-  }
-  clock.Advance(500);
-  EXPECT_EQ(engine.OnCumulativeAck(conn, 1'000), 1u);
-  EXPECT_EQ(engine.stats().timers_rescheduled, 3u);
-  while (clock.NowTicks() < 1'800) {
-    clock.Advance(50);
-    rt.OnTriggerState(0, TriggerSource::kSyscall);
-  }
-  EXPECT_EQ(engine.stats().timers_fired, 0u);
-  while (clock.NowTicks() < 2'300) {
-    clock.Advance(50);
-    rt.OnTriggerState(0, TriggerSource::kSyscall);
-  }
-  EXPECT_EQ(engine.stats().timers_fired, 3u);
-  // Another partial ACK after the retransmissions: survivors were all
-  // retransmitted (Karn), so the restart re-arms them without a sample.
-  EXPECT_TRUE(engine.OnSegmentSent(conn, 5'000));
-  EXPECT_EQ(engine.OnCumulativeAck(conn, 2'000), 1u);
-  EXPECT_EQ(engine.stats().timers_rescheduled, 6u);  // 3 survivors again
-  EXPECT_EQ(engine.stats().rtt_samples, 1u);         // only the first ACK
-}
-
 TEST(RtoEngineTest, WindowBoundsInFlightSegments) {
   Harness h;
   uint64_t conn = h.engine.OpenConnection(nullptr);

@@ -305,8 +305,8 @@ TEST(ShardedRuntimeTest, RescheduleCrossCoreRejectsLocalIdsAndMissesDead) {
   ShardedSoftTimerRuntime rt(&clock, Cfg(1));
   auto token = rt.RegisterProducer();
   // Local ids have no rebindable table entry: the producer API refuses them
-  // up front (an emulated-update backend would rename the id with no way to
-  // hand the new name back).
+  // up front (the reschedule renames the id with no way to hand the new name
+  // back).
   SoftEventId local = rt.ScheduleOnShard(
       0, 1'000, [](const SoftTimerFacility::FireInfo&) {});
   EXPECT_FALSE(rt.RescheduleCrossCore(token, local, 10));
@@ -323,32 +323,6 @@ TEST(ShardedRuntimeTest, RescheduleCrossCoreRejectsLocalIdsAndMissesDead) {
   rt.OnTriggerState(0, TriggerSource::kSyscall);
   EXPECT_EQ(rt.shard_stats(0).remote_reschedule_misses, 1u);  // ...but missed
   EXPECT_EQ(rt.shard_stats(0).remote_rescheduled, 0u);
-}
-
-TEST(ShardedRuntimeTest, RescheduleWorksOnNativeUpdateBackend) {
-  // Same handle-stability contract on the grouped-sorting backend, where the
-  // facility-level reschedule keeps the slab id instead of renaming it.
-  ManualClock clock;
-  ShardedSoftTimerRuntime::Config cfg = Cfg(1);
-  cfg.facility.queue_kind = TimerQueueKind::kGroupedSorting;
-  ShardedSoftTimerRuntime rt(&clock, cfg);
-  auto token = rt.RegisterProducer();
-  int fired = 0;
-  SoftEventId remote = rt.ScheduleCrossCore(
-      token, 0, 100, [&](const SoftTimerFacility::FireInfo&) { ++fired; });
-  rt.OnTriggerState(0, TriggerSource::kSyscall);
-  SoftEventId local = rt.ScheduleOnShard(
-      0, 100, [&](const SoftTimerFacility::FireInfo&) { ++fired; });
-  // Native path: the local id survives a reschedule unchanged.
-  SoftEventId moved = rt.RescheduleOnShard(0, local, 300);
-  ASSERT_TRUE(moved.valid());
-  EXPECT_EQ(moved.value, local.value);
-  ASSERT_TRUE(rt.RescheduleOnShard(0, remote, 300).valid());
-  clock.Advance(150);  // past the original deadlines
-  EXPECT_EQ(rt.OnTriggerState(0, TriggerSource::kSyscall), 0u);
-  clock.Advance(200);  // past the re-armed deadlines
-  EXPECT_EQ(rt.OnTriggerState(0, TriggerSource::kSyscall), 2u);
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(ShardedRuntimeTest, WakeHookFiresOnPublish) {

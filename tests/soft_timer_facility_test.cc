@@ -284,6 +284,10 @@ TEST_F(FacilityFixture, StatsAccounting) {
   EXPECT_EQ(s.checks, 2u);
   EXPECT_EQ(s.dispatches_by_source[static_cast<size_t>(TriggerSource::kIpIntr)], 2u);
   EXPECT_EQ(s.lateness_ticks.count(), 2u);
+  // T < actual: every dispatch is at least the +1 rounding tick late, and
+  // the histogram's percentiles never exceed its exact max.
+  EXPECT_GE(s.lateness_ticks.min(), 1u);
+  EXPECT_LE(s.lateness_ticks.Percentile(99), s.lateness_ticks.max());
 }
 
 TEST_F(FacilityFixture, DispatchObserverRunsBeforeHandler) {

@@ -1,11 +1,10 @@
 // Conformance suite shared by every TimerQueue implementation (heap, hashed
-// wheel, hierarchical wheel, callout list, grouped sorting queue): the
-// semantics documented in src/timer/timer_queue.h, exercised identically via
-// TEST_P, plus a randomized differential test that replays the same
-// operation stream (including Update re-arms) against a trivially-correct
-// reference model. The Update tests deliberately only ever act through the
-// id *returned* by Update: that is the portable contract (the native grouped
-// path returns the input id unchanged, the emulated path a fresh one).
+// wheel, hierarchical wheel, callout list): the semantics documented in
+// src/timer/timer_queue.h, exercised identically via TEST_P, plus a
+// randomized differential test that replays the same operation stream
+// (including Update re-arms) against a trivially-correct reference model.
+// The Update tests only ever act through the id *returned* by Update:
+// Update is a cancel+reschedule, so the input id is consumed.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "src/sim/random.h"
-#include "src/timer/grouped_sorting_queue.h"
 #include "src/timer/timer_queue.h"
 
 namespace softtimer {
@@ -218,8 +216,7 @@ TEST_P(TimerQueueConformanceTest, PeekThenCancelWorksOnDueBatchPeer) {
   EXPECT_FALSE(q->Cancel(peer));
 }
 
-// --- Update(id, new_deadline): observable cancel+reschedule, whether the
-// backend relinks natively (grouped sorting queue) or emulates.
+// --- Update(id, new_deadline): observably a cancel+reschedule.
 
 TEST_P(TimerQueueConformanceTest, UpdateMovesDeadlineBothDirections) {
   auto q = Make();
@@ -630,8 +627,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
                          ::testing::Values(TimerQueueKind::kHeap,
                                            TimerQueueKind::kHashedWheel,
                                            TimerQueueKind::kHierarchicalWheel,
-                                           TimerQueueKind::kCalloutList,
-                                           TimerQueueKind::kGroupedSorting),
+                                           TimerQueueKind::kCalloutList),
                          [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
                            switch (info.param) {
                              case TimerQueueKind::kHeap:
@@ -642,21 +638,17 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
                                return "HierarchicalWheel";
                              case TimerQueueKind::kCalloutList:
                                return "CalloutList";
-                             case TimerQueueKind::kGroupedSorting:
-                               return "GroupedSorting";
                            }
                            return "Unknown";
                          });
 
-// --- Emulated-vs-native Update parity: replay one fixed update-heavy script
-// on every backend and require byte-identical fire sequences. The four
-// emulating backends and the native grouped path must be indistinguishable.
+// --- Update parity: replay one fixed update-heavy script on every backend
+// and require byte-identical fire sequences.
 
 TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
   const TimerQueueKind kKinds[] = {
       TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList,
-      TimerQueueKind::kGroupedSorting};
+      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList};
   std::vector<std::vector<uint64_t>> sequences;
   for (TimerQueueKind kind : kKinds) {
     auto q = MakeTimerQueue(kind);
@@ -703,102 +695,6 @@ TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
         << "backend " << TimerQueueKindName(kKinds[i])
         << " diverged from " << TimerQueueKindName(kKinds[0]);
   }
-}
-
-// --- Window-migration stress for the grouped queue: a tiny group count
-// forces constant coarse->fine migration and far-list refills, and updates
-// hop nodes across all three tiers in both directions.
-
-TEST(GroupedSortingQueueTest, TinyGroupCountMigrationAndCrossTierUpdates) {
-  GroupedSortingQueue q(/*granularity=*/1, /*group_count=*/4);
-  // Tiers: fine width 1 (4 groups), coarse width 4 (4 groups, 16-tick span),
-  // far beyond. Drive the same differential harness shape by hand.
-  std::vector<uint64_t> fires;
-  std::map<uint64_t, TimerId> live;
-  Rng rng(11);
-  uint64_t now = 0;
-  uint64_t key = 1;
-  std::multimap<uint64_t, uint64_t> ref;  // clamped deadline -> key
-  uint64_t cursor = 0;
-  std::vector<uint64_t> ref_fires;
-  for (int step = 0; step < 6000; ++step) {
-    double dice = rng.NextDouble();
-    // Deltas straddle every tier boundary of this tiny geometry.
-    uint64_t delta = rng.UniformU64(64);
-    if (dice < 0.4 || live.empty()) {
-      uint64_t k = key++;
-      live[k] = q.Schedule(now + delta, [&fires, k] { fires.push_back(k); });
-      ref.emplace(now + delta < cursor ? cursor : now + delta, k);
-    } else if (dice < 0.75) {
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.UniformU64(live.size())));
-      TimerId moved = q.Update(it->second, now + delta);
-      ASSERT_TRUE(moved.valid());
-      EXPECT_EQ(moved.value, it->second.value);  // native: id is stable
-      for (auto r = ref.begin(); r != ref.end(); ++r) {
-        if (r->second == it->first) {
-          uint64_t k = r->second;
-          ref.erase(r);
-          ref.emplace(now + delta < cursor ? cursor : now + delta, k);
-          break;
-        }
-      }
-    } else if (dice < 0.85) {
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.UniformU64(live.size())));
-      EXPECT_TRUE(q.Cancel(it->second));
-      for (auto r = ref.begin(); r != ref.end(); ++r) {
-        if (r->second == it->first) {
-          ref.erase(r);
-          break;
-        }
-      }
-      live.erase(it);
-    } else {
-      now += rng.UniformU64(24);
-      q.ExpireUpTo(now);
-      cursor = now + 1;
-      while (!ref.empty() && ref.begin()->first <= now) {
-        uint64_t k = ref.begin()->second;
-        ref_fires.push_back(k);
-        live.erase(k);
-        ref.erase(ref.begin());
-      }
-      ASSERT_EQ(fires, ref_fires) << "diverged at step " << step;
-      EXPECT_EQ(q.size(), ref.size());
-    }
-  }
-  now += 1'000'000;
-  q.ExpireUpTo(now);
-  while (!ref.empty()) {
-    ref_fires.push_back(ref.begin()->second);
-    ref.erase(ref.begin());
-  }
-  EXPECT_EQ(fires, ref_fires);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(GroupedSortingQueueTest, UpdateUnchangedDeadlineNeverRenamesId) {
-  GroupedSortingQueue q(/*granularity=*/1, /*group_count=*/4);
-  int fired = 0;
-  TimerId id = q.Schedule(100, [&] { ++fired; });
-  // The native O(1) Update relinks the node in place, so an unchanged
-  // deadline MUST return the id verbatim - callers cache ids across no-op
-  // re-arms and the stability guarantee is what lets them skip the remap.
-  for (int i = 0; i < 3; ++i) {
-    TimerId moved = q.Update(id, 100);
-    ASSERT_TRUE(moved.valid());
-    EXPECT_EQ(moved.value, id.value);
-  }
-  // A changed deadline keeps the id too on the native path, and the
-  // ORIGINAL handle - not just the returned one - still cancels the event.
-  TimerId moved = q.Update(id, 250);
-  ASSERT_TRUE(moved.valid());
-  EXPECT_EQ(moved.value, id.value);
-  EXPECT_EQ(q.EarliestDeadline(), 250u);
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(fired, 0);
 }
 
 // Granularity > 1 wheels (not part of the heap's parameter space).

@@ -128,8 +128,6 @@ std::string KindTestName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
       return "HierWheel";
     case TimerQueueKind::kCalloutList:
       return "CalloutList";
-    case TimerQueueKind::kGroupedSorting:
-      return "GroupedSorting";
   }
   return "Unknown";
 }
@@ -138,8 +136,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SlabTrimTest,
                          ::testing::Values(TimerQueueKind::kHeap,
                                            TimerQueueKind::kHashedWheel,
                                            TimerQueueKind::kHierarchicalWheel,
-                                           TimerQueueKind::kCalloutList,
-                                           TimerQueueKind::kGroupedSorting),
+                                           TimerQueueKind::kCalloutList),
                          KindTestName);
 
 }  // namespace

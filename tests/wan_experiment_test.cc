@@ -5,6 +5,7 @@
 
 #include "src/machine/kernel.h"
 #include "src/net/wan_path.h"
+#include "src/stats/summary_stats.h"
 #include "src/tcp/tcp_receiver.h"
 #include "src/tcp/tcp_sender.h"
 
