@@ -10,8 +10,8 @@
 //   --hotpath-json=PATH   instead of running google-benchmark, measure the
 //                         hot-path operations (schedule, cancel, nothing-due
 //                         check, dispatch cycle, burst drains, and the
-//                         update-heavy re-arm mix) across all four
-//                         TimerQueue kinds and write machine-readable JSON
+//                         update-heavy re-arm mix) across every
+//                         TimerQueue kind and write machine-readable JSON
 //                         (ns/op and allocs/op) to PATH, alongside the
 //                         facility-level numbers recorded from the tree
 //                         before the zero-allocation rework.
@@ -315,9 +315,9 @@ int WriteHotpathJson(const std::string& path, size_t iters) {
                "    \"trigger_check_nothing_due_allocs_per_op\": 0.000\n"
                "  },\n");
   std::fprintf(f, "  \"current\": {\n");
-  const TimerQueueKind kKinds[] = {
-      TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList};
+  const TimerQueueKind kKinds[] = {TimerQueueKind::kHeap,
+                                   TimerQueueKind::kHashedWheel,
+                                   TimerQueueKind::kCalloutList};
   constexpr size_t kNumKinds = sizeof(kKinds) / sizeof(kKinds[0]);
   for (size_t k = 0; k < kNumKinds; ++k) {
     HotpathSample s = MeasureHotpath(kKinds[k], iters);

@@ -1,8 +1,8 @@
 // Microbenchmarks of the timer-queue data structures (google-benchmark).
 //
 // The paper keeps soft-timer events in "a modified form of timing wheels";
-// these benchmarks compare the hashed wheel, the hierarchical wheel, the
-// callout list, and the binary-heap baseline on the operations the facility
+// these benchmarks compare the hashed wheel, the callout list, and the
+// binary-heap baseline on the operations the facility
 // performs: schedule, cancel, the per-trigger-state check (EarliestDeadline +
 // no-op expire), steady fire/reschedule churn, and deadline-update churn at
 // various pending-set sizes.
@@ -23,8 +23,6 @@ TimerQueueKind KindFromArg(int64_t a) {
       return TimerQueueKind::kHeap;
     case 1:
       return TimerQueueKind::kHashedWheel;
-    case 2:
-      return TimerQueueKind::kHierarchicalWheel;
     default:
       return TimerQueueKind::kCalloutList;
   }
@@ -43,7 +41,7 @@ void BM_Schedule(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_Schedule)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_Schedule)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_ScheduleCancel(benchmark::State& state) {
   auto q = MakeTimerQueue(KindFromArg(state.range(0)));
@@ -52,7 +50,7 @@ void BM_ScheduleCancel(benchmark::State& state) {
     benchmark::DoNotOptimize(q->Cancel(id));
   }
 }
-BENCHMARK(BM_ScheduleCancel)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_ScheduleCancel)->Arg(0)->Arg(1)->Arg(2);
 
 // The facility's hot path: nothing due, check and move on.
 void BM_TriggerCheckNothingDue(benchmark::State& state) {
@@ -72,11 +70,9 @@ BENCHMARK(BM_TriggerCheckNothingDue)
     ->Args({0, 4})
     ->Args({1, 4})
     ->Args({2, 4})
-    ->Args({3, 4})
     ->Args({0, 1024})
     ->Args({1, 1024})
-    ->Args({2, 1024})
-    ->Args({3, 1024});
+    ->Args({2, 1024});
 
 // Steady-state churn: one event fires and is rescheduled per step, with a
 // standing population of `range(1)` pending timers.
@@ -100,8 +96,8 @@ void BM_FireRescheduleChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FireRescheduleChurn)
-    ->Args({0, 16})->Args({1, 16})->Args({2, 16})->Args({3, 16})
-    ->Args({0, 4096})->Args({1, 4096})->Args({2, 4096})->Args({3, 4096});
+    ->Args({0, 16})->Args({1, 16})->Args({2, 16})
+    ->Args({0, 4096})->Args({1, 4096})->Args({2, 4096});
 
 // Deadline update churn: every step moves one live timer of a standing
 // population to a new deadline (TimerQueue::Update's cancel+reschedule).
@@ -122,7 +118,7 @@ void BM_UpdateChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UpdateChurn)
-    ->Args({0, 4096})->Args({1, 4096})->Args({2, 4096})->Args({3, 4096});
+    ->Args({0, 4096})->Args({1, 4096})->Args({2, 4096});
 
 }  // namespace
 }  // namespace softtimer

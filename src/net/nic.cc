@@ -62,26 +62,6 @@ void Nic::Transmit(Packet p) {
   }
 }
 
-void Nic::EnqueueBurst(const Packet* packets, size_t count) {
-  if (count == 0) {
-    return;
-  }
-  stats_.tx_packets += count;
-  SimDuration serialize;
-  for (size_t i = 0; i < count; ++i) {
-    serialize += tx_link_->SerializationDelay(packets[i].size_bytes);
-    tx_link_->Send(packets[i]);
-  }
-  if (mode_ == Mode::kInterrupt && config_.tx_complete_interrupts) {
-    pending_tx_completions_ += count;
-    if (!tx_reap_scheduled_) {
-      tx_reap_scheduled_ = true;
-      sim_->ScheduleAfter(serialize + config_.tx_coalesce_window,
-                          [this] { ReapTxCompletions(); });
-    }
-  }
-}
-
 void Nic::ReapTxCompletions() {
   tx_reap_scheduled_ = false;
   if (pending_tx_completions_ == 0 || mode_ != Mode::kInterrupt) {

@@ -56,15 +56,6 @@ class Nic {
   // ip-output path cost (Kernel::KernelOp with TriggerSource::kIpOutput).
   void Transmit(Packet p);
 
-  // Hands a burst of packets to the wire as one batched tx operation (the
-  // pacing wheel's dispatch path; see TcpSender::set_burst_sender). The
-  // packets queue back-to-back on the link and the whole burst is covered
-  // by a single coalesced completion arm — "some interfaces can be
-  // programmed to signal the completion of a burst" (Section 4.2 footnote),
-  // which the burst path exploits by construction instead of relying on the
-  // coalesce window to merge per-packet arms.
-  void EnqueueBurst(const Packet* packets, size_t count);
-
   void SetMode(Mode m);
   Mode mode() const { return mode_; }
 

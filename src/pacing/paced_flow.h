@@ -5,8 +5,7 @@
 // (PacedTrain, src/core/adaptive_pacer.h) plus its wheel linkage, stored in
 // a TimerSlab so a million flows cost a million nodes and zero steady-state
 // allocations. Ids are the slab's generation-counted PackTimerIdValue
-// encoding (shard byte optionally ORed in by ShardedPacingRuntime), so a
-// stale PacedFlowId cancels nobody.
+// encoding, so a stale PacedFlowId cancels nobody.
 
 #ifndef SOFTTIMER_SRC_PACING_PACED_FLOW_H_
 #define SOFTTIMER_SRC_PACING_PACED_FLOW_H_
@@ -18,8 +17,8 @@
 
 namespace softtimer {
 
-// Identifies one flow registered with a PacingWheel (or, with a shard byte,
-// with a ShardedPacingRuntime). Default-constructed ids are invalid.
+// Identifies one flow registered with a PacingWheel. Default-constructed
+// ids are invalid.
 struct PacedFlowId {
   uint64_t value = 0;
   bool valid() const { return value != 0; }

@@ -23,8 +23,8 @@
 //    dispatch bound (the facility's T < actual < T + X + 1; the backup
 //    interrupt enforces the high side), not by the quantum.
 //  * Deadlines farther than one horizon (quantum * num_slots) park in a
-//    hierarchical overflow ring (mirroring src/timer/hierarchical wheel
-//    cascading): a coarse outer ring whose slots each span one inner
+//    hierarchical overflow ring (Varghese & Lauck's cascading, one level
+//    deep): a coarse outer ring whose slots each span one inner
 //    horizon. When the drain cursor enters an outer window, its entries
 //    cascade into the inner wheel (they are then at most one lap out) and
 //    later-lap entries re-park. Parked deadlines are never clamped and
@@ -41,8 +41,10 @@
 // via node state instead of corrupting the sweep.
 //
 // Single-threaded by design, like the facility: one wheel per shard, all
-// calls from the shard's owner thread (cross-core mutation goes through
-// ShardedPacingRuntime's command rings).
+// calls from the shard's owner thread. Another core mutates a flow by
+// sending the owning shard a cross-core soft event
+// (ShardedSoftTimerRuntime::ScheduleCrossCore with delta 0) whose handler
+// calls the wheel or its PacingWheelHost.
 
 #ifndef SOFTTIMER_SRC_PACING_PACING_WHEEL_H_
 #define SOFTTIMER_SRC_PACING_PACING_WHEEL_H_

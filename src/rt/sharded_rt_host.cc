@@ -240,23 +240,19 @@ void ShardedRtHost::RunShardIsolated(size_t shard) {
   SoftTimerFacility& facility = runtime_->shard_facility(shard);
   // Startup calibration (CHRONOS-style cost model): the arm-to-fire overhead
   // of the software backup is one spin check gap, so measure it and derive
-  // the two knobs from it unless the profile pins them. The steal threshold
-  // is a generous multiple of the median gap - far above scheduling jitter,
-  // far below any real preemption - and the compensation must be at least
-  // the threshold so that any backup fired late WITHOUT a detected steal
-  // would contradict the threshold, making backup_true_late structurally
-  // zero under kCompensated.
+  // the steal threshold and the compensation from it. The threshold is a
+  // generous multiple of the median gap - far above scheduling jitter, far
+  // below any real preemption - and the compensation must be at least the
+  // threshold so that any backup fired late WITHOUT a detected steal would
+  // contradict the threshold, making backup_true_late structurally zero
+  // under kCompensated.
   uint64_t median_gap = CalibrateSpinGap();
   uint64_t steal_threshold =
-      prof.steal_threshold_ticks != 0
-          ? prof.steal_threshold_ticks
-          : std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
+      std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
   uint64_t backup_period = facility.ticks_per_backup_interval();
   uint64_t compensation = 0;
   if (prof.backup == IsolatedBackup::kCompensated) {
-    compensation = prof.backup_compensation_ticks != 0
-                       ? prof.backup_compensation_ticks
-                       : std::max<uint64_t>(steal_threshold, 16);
+    compensation = std::max<uint64_t>(steal_threshold, 16);
     // A compensation rivaling the period would make the backup fire
     // constantly; clamp and let steal classification absorb the rest.
     compensation = std::min(compensation, backup_period / 2);

@@ -99,14 +99,6 @@ class ShardedRtHost {
     // (a normal shard may carry an SLO too; every dispatch counts as clean
     // there since only the isolated loop performs steal detection).
     uint64_t slo_lateness_ticks = 0;
-    // Ticks subtracted from the backup deadline under kCompensated.
-    // 0 = auto-calibrate: derived from the measured spin check gap at shard
-    // startup so the compensation covers the arm-to-fire overhead.
-    uint64_t backup_compensation_ticks = 0;
-    // Clock-read gap above which an isolated check is attributed to
-    // hypervisor/OS preemption and its dispatches kept out of the clean
-    // histogram. 0 = auto (a generous multiple of the calibrated gap).
-    uint64_t steal_threshold_ticks = 0;
   };
 
   struct Config {
@@ -200,7 +192,7 @@ class ShardedRtHost {
     uint64_t backup_true_late = 0;  // fired past D with no steal detected
     uint64_t backup_steal_late = 0; // fired past D because of a steal
     uint64_t slo_violations = 0;    // clean dispatches over the SLO budget
-    // Effective knobs after startup auto-calibration, for reporting.
+    // Values derived by the startup calibration, for reporting.
     uint64_t calibrated_gap_ticks = 0;   // median spin check gap
     uint64_t steal_threshold_ticks = 0;
     uint64_t compensation_ticks = 0;

@@ -32,7 +32,6 @@ void TcpSender::StartTransfer(uint64_t bytes, std::function<void()> on_complete)
   complete_ = false;
   snd_una_ = 0;
   snd_next_ = 0;
-  snd_max_ = 0;
   dupacks_ = 0;
   in_recovery_ = false;
   cwnd_ = static_cast<uint64_t>(config_.initial_cwnd_segments) * config_.mss;
@@ -42,65 +41,10 @@ void TcpSender::StartTransfer(uint64_t bytes, std::function<void()> on_complete)
   if (config_.mode == Mode::kRateBased) {
     pacer_.StartTrain(kernel_->soft_timers().MeasureTime());
     OnPaceEvent();  // first segment leaves immediately
-  } else if (config_.mode == Mode::kWheelPaced) {
-    // The pacing wheel clocks transmissions: activate the flow and wait for
-    // the wheel's first EmitPaced grant.
-    if (wheel_resume_) {
-      wheel_resume_();
-    }
   } else {
     TrySendWindow(config_.max_burst_segments);
   }
   ArmRto();
-}
-
-uint32_t TcpSender::EmitPaced(uint32_t budget) {
-  if (config_.mode != Mode::kWheelPaced || !active_ || complete_) {
-    return 0;
-  }
-  burst_scratch_.clear();
-  SimTime now = kernel_->sim()->now();
-  while (burst_scratch_.size() < budget && snd_next_ < transfer_bytes_) {
-    uint32_t payload = static_cast<uint32_t>(
-        std::min<uint64_t>(config_.mss, transfer_bytes_ - snd_next_));
-    Packet p;
-    p.flow_id = config_.flow_id;
-    p.kind = Packet::Kind::kData;
-    p.seq = snd_next_;
-    p.payload = payload;
-    p.fin = (snd_next_ + payload >= transfer_bytes_);
-    p.size_bytes = payload + kTcpIpHeaderBytes;
-    p.sent_at = now;
-    burst_scratch_.push_back(p);
-    if (snd_next_ < snd_max_) {
-      // Go-back-N resend: Karn's rule invalidates any outstanding probe.
-      ++stats_.retransmits;
-      rtt_probe_active_ = false;
-    } else {
-      MaybeStartRttProbe(snd_next_ + payload);
-      snd_max_ = snd_next_ + payload;
-    }
-    snd_next_ += payload;
-  }
-  uint32_t n = static_cast<uint32_t>(burst_scratch_.size());
-  if (n == 0) {
-    return 0;
-  }
-  stats_.segments_sent += n;
-  // The whole burst passes through ONE ip-output trigger state (the wheel's
-  // batched dispatch collapses per-packet check overhead), while the
-  // driver/protocol output cost is still charged per packet.
-  kernel_->Trigger(TriggerSource::kIpOutput);
-  kernel_->cpu(0).Steal(kernel_->profile().Work(kernel_->profile().tx_packet_service) *
-                        static_cast<int64_t>(n));
-  if (burst_sender_) {
-    burst_sender_(burst_scratch_.data(), n);
-  } else if (packet_sender_) {
-    for (const Packet& p : burst_scratch_) {
-      packet_sender_(p);
-    }
-  }
-  return n;
 }
 
 void TcpSender::SendSegmentAt(uint64_t seq, bool retransmit) {
@@ -122,9 +66,6 @@ void TcpSender::SendSegmentAt(uint64_t seq, bool retransmit) {
     rtt_probe_active_ = false;
   } else {
     MaybeStartRttProbe(seq + payload);
-  }
-  if (seq + payload > snd_max_) {
-    snd_max_ = seq + payload;
   }
   // The transmission passes through the kernel's IP output path: an
   // ip-output trigger state plus the driver/protocol output cost.
@@ -307,12 +248,6 @@ void TcpSender::OnRtoFire() {
       pacer_.StartTrain(kernel_->soft_timers().MeasureTime());
       OnPaceEvent();
     }
-  } else if (config_.mode == Mode::kWheelPaced) {
-    // Go-back-N reopened unsent data; re-activate on the wheel (restarting
-    // the flow's train — the retransmission burst is paced too).
-    if (wheel_resume_) {
-      wheel_resume_();
-    }
   } else {
     TrySendWindow(config_.max_burst_segments);
   }
@@ -333,9 +268,6 @@ void TcpSender::CompleteIfDone() {
   if (pace_event_.valid()) {
     kernel_->soft_timers().CancelSoftEvent(pace_event_);
     pace_event_ = SoftEventId{};
-  }
-  if (config_.mode == Mode::kWheelPaced && wheel_pause_) {
-    wheel_pause_();
   }
   if (on_complete_) {
     auto cb = std::move(on_complete_);

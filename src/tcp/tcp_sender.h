@@ -13,14 +13,9 @@
 //                  (Section 4.1). ACKs are still consumed for reliability
 //                  accounting, but do not clock transmissions.
 //
-//   kWheelPaced  - rate-based transmission driven externally by a pacing
-//                  wheel (src/pacing): the sender schedules no soft events
-//                  of its own; the wheel's batched drain calls EmitPaced()
-//                  with a packet grant and the sender emits that burst
-//                  through one ip-output trigger state. Same pacing
-//                  arithmetic as kRateBased (the wheel embeds PacedTrain),
-//                  but the per-flow soft event disappears — one wheel event
-//                  paces every flow on the shard.
+// Wheel-paced sending (one pacing-wheel event for every flow on a shard,
+// batched drains, per-segment retransmission timers) is PacingWheelHost
+// plus RtoEngine (src/pacing, src/tcp/rto_engine.h), not a mode here.
 //
 // The sender runs on a host Kernel so every segment transmission passes
 // through an ip-output trigger state (which, as in the paper, is itself a
@@ -31,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "src/core/adaptive_pacer.h"
 #include "src/machine/kernel.h"
@@ -42,7 +36,7 @@ namespace softtimer {
 
 class TcpSender {
  public:
-  enum class Mode { kSelfClocked, kRateBased, kWheelPaced };
+  enum class Mode { kSelfClocked, kRateBased };
 
   struct Config {
     Mode mode = Mode::kSelfClocked;
@@ -84,30 +78,6 @@ class TcpSender {
   // Transport towards the receiver.
   void set_packet_sender(std::function<void(Packet)> fn) { packet_sender_ = std::move(fn); }
 
-  // Batched transport for EmitPaced bursts (e.g. Nic::EnqueueBurst). When
-  // unset, bursts fall back to per-packet packet_sender_ calls.
-  void set_burst_sender(std::function<void(const Packet*, size_t)> fn) {
-    burst_sender_ = std::move(fn);
-  }
-
-  // Wheel integration (kWheelPaced): `resume` is called when the sender has
-  // data to pace (transfer start, RTO go-back-N) and should (re)activate
-  // the flow on its pacing wheel; `pause` when it no longer does (transfer
-  // complete). Install before StartTransfer; src/tcp/tcp_paced_flow.h wires
-  // these to a PacingWheelHost.
-  void set_wheel_hooks(std::function<void()> resume, std::function<void()> pause) {
-    wheel_resume_ = std::move(resume);
-    wheel_pause_ = std::move(pause);
-  }
-
-  // Transmits up to `budget` segments back-to-back through one ip-output
-  // trigger state (the pacing wheel's batched dispatch path; kWheelPaced
-  // only). Returns segments actually sent — less than `budget` when the
-  // transfer runs out of unsent data, in which case the caller should
-  // deactivate the flow (the resume hook re-activates it if an RTO reopens
-  // the window).
-  uint32_t EmitPaced(uint32_t budget);
-
   // Begins a transfer of `bytes`; `on_complete` runs when every byte has
   // been cumulatively acknowledged.
   void StartTransfer(uint64_t bytes, std::function<void()> on_complete = {});
@@ -145,12 +115,6 @@ class TcpSender {
   Kernel* kernel_;
   Config config_;
   std::function<void(Packet)> packet_sender_;
-  std::function<void(const Packet*, size_t)> burst_sender_;
-  std::function<void()> wheel_resume_;
-  std::function<void()> wheel_pause_;
-  // EmitPaced assembles bursts here; grows to the largest grant and is
-  // reused (no steady-state allocation).
-  std::vector<Packet> burst_scratch_;
   AdaptivePacer pacer_;
 
   uint64_t transfer_bytes_ = 0;
@@ -160,8 +124,6 @@ class TcpSender {
 
   uint64_t snd_una_ = 0;   // lowest unacknowledged byte
   uint64_t snd_next_ = 0;  // next byte to transmit
-  uint64_t snd_max_ = 0;   // highest byte ever transmitted (EmitPaced uses
-                           // this to tell go-back-N resends from fresh data)
   uint64_t cwnd_ = 0;
   uint64_t ssthresh_ = 0;
   uint32_t dupacks_ = 0;

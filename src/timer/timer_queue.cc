@@ -3,7 +3,6 @@
 #include "src/timer/callout_list_timer_queue.h"
 #include "src/timer/hashed_timing_wheel.h"
 #include "src/timer/heap_timer_queue.h"
-#include "src/timer/hierarchical_timing_wheel.h"
 
 namespace softtimer {
 
@@ -32,8 +31,6 @@ std::unique_ptr<TimerQueue> MakeTimerQueue(TimerQueueKind kind, uint64_t tick_gr
       return std::make_unique<HeapTimerQueue>();
     case TimerQueueKind::kHashedWheel:
       return std::make_unique<HashedTimingWheel>(tick_granularity);
-    case TimerQueueKind::kHierarchicalWheel:
-      return std::make_unique<HierarchicalTimingWheel>(tick_granularity);
     case TimerQueueKind::kCalloutList:
       return std::make_unique<CalloutListTimerQueue>();
   }
@@ -46,8 +43,6 @@ const char* TimerQueueKindName(TimerQueueKind kind) {
       return "heap";
     case TimerQueueKind::kHashedWheel:
       return "hashed-wheel";
-    case TimerQueueKind::kHierarchicalWheel:
-      return "hier-wheel";
     case TimerQueueKind::kCalloutList:
       return "callout-list";
   }

@@ -1,14 +1,13 @@
 // TimerQueue: the data-structure interface under the soft-timer facility.
 //
 // The paper maintains scheduled soft-timer events in "a modified form of
-// timing wheels [Varghese & Lauck]". This library provides four
+// timing wheels [Varghese & Lauck]". This library provides three
 // interchangeable implementations behind one interface:
 //
 //   HashedTimingWheel        - single-level hashed wheel with rounds; the
 //                              paper's structure and every host's default.
 //   HeapTimerQueue           - binary heap; the textbook baseline and the
 //                              oracle of the differential tests.
-//   HierarchicalTimingWheel  - multi-level cascading wheel.
 //   CalloutListTimerQueue    - sorted list; the 4.3BSD callout structure
 //                              timing wheels were invented to replace.
 //
@@ -246,12 +245,14 @@ class TimerQueue {
   };
 };
 
-// Factory selector used by SoftTimerFacility config.
+// Factory selector used by SoftTimerFacility config. The values are pinned:
+// gtest prints a parameter's bytes into each parameterized test's name, so a
+// kind keeps its value when another kind is deleted (2 was the hierarchical
+// timing wheel).
 enum class TimerQueueKind {
-  kHeap,
-  kHashedWheel,
-  kHierarchicalWheel,
-  kCalloutList,
+  kHeap = 0,
+  kHashedWheel = 1,
+  kCalloutList = 3,
 };
 
 // Creates a queue of the given kind. `tick_granularity` is the wheel slot

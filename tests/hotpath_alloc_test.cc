@@ -290,7 +290,6 @@ std::string KindName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
   switch (info.param) {
     case TimerQueueKind::kHeap: return "Heap";
     case TimerQueueKind::kHashedWheel: return "HashedWheel";
-    case TimerQueueKind::kHierarchicalWheel: return "HierarchicalWheel";
     case TimerQueueKind::kCalloutList: return "CalloutList";
   }
   return "Unknown";
@@ -299,14 +298,12 @@ std::string KindName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
 INSTANTIATE_TEST_SUITE_P(
     AllQueueKinds, PacingWheelAllocTest,
     ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-                      TimerQueueKind::kHierarchicalWheel,
                       TimerQueueKind::kCalloutList),
     KindName);
 
 INSTANTIATE_TEST_SUITE_P(
     AllQueueKinds, HotpathAllocTest,
     ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-                      TimerQueueKind::kHierarchicalWheel,
                       TimerQueueKind::kCalloutList),
     KindName);
 

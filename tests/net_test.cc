@@ -205,24 +205,6 @@ TEST_F(NicFixture, TxCompletionsCoalesceIntoOneInterrupt) {
   EXPECT_EQ(nic_->stats().tx_complete_interrupts, 1u);
 }
 
-TEST_F(NicFixture, EnqueueBurstSendsAllUnderOneCompletionArm) {
-  // The pacing wheel's batched tx path: the whole burst queues back-to-back
-  // on the link and is covered by a single coalesced completion interrupt
-  // (Section 4.2's burst-completion signalling, by construction).
-  std::vector<Packet> burst;
-  for (int i = 0; i < 8; ++i) {
-    burst.push_back(DataPacket(static_cast<uint64_t>(i), 1500));
-  }
-  nic_->EnqueueBurst(burst.data(), burst.size());
-  sim_.RunUntil(SimTime::Zero() + SimDuration::Millis(5));
-  EXPECT_EQ(nic_->stats().tx_packets, 8u);
-  EXPECT_EQ(tx_link_->stats().sent, 8u);
-  EXPECT_EQ(nic_->stats().tx_complete_interrupts, 1u);
-  // Zero-length bursts are a no-op.
-  nic_->EnqueueBurst(burst.data(), 0);
-  EXPECT_EQ(nic_->stats().tx_packets, 8u);
-}
-
 TEST(SoftTimerNetPollerTest, DrainsNicUnderBusyCpuAndTracksQuota) {
   Simulator sim;
   Kernel::Config kc;

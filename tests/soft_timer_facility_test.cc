@@ -375,9 +375,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BoundParam{TimerQueueKind::kHeap, 1},
                       BoundParam{TimerQueueKind::kHeap, 99},
                       BoundParam{TimerQueueKind::kHashedWheel, 1},
-                      BoundParam{TimerQueueKind::kHashedWheel, 99},
-                      BoundParam{TimerQueueKind::kHierarchicalWheel, 1},
-                      BoundParam{TimerQueueKind::kHierarchicalWheel, 99}),
+                      BoundParam{TimerQueueKind::kHashedWheel, 99}),
     [](const ::testing::TestParamInfo<BoundParam>& info) {
       std::string name = TimerQueueKindName(info.param.kind);
       for (auto& c : name) {

@@ -1,5 +1,5 @@
 // Conformance suite shared by every TimerQueue implementation (heap, hashed
-// wheel, hierarchical wheel, callout list): the semantics documented in
+// wheel, callout list): the semantics documented in
 // src/timer/timer_queue.h, exercised identically via TEST_P, plus a
 // randomized differential test that replays the same operation stream
 // (including Update re-arms) against a trivially-correct reference model.
@@ -626,7 +626,6 @@ TEST_P(TimerQueueConformanceTest, RandomizedDifferentialAgainstReference) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
                          ::testing::Values(TimerQueueKind::kHeap,
                                            TimerQueueKind::kHashedWheel,
-                                           TimerQueueKind::kHierarchicalWheel,
                                            TimerQueueKind::kCalloutList),
                          [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
                            switch (info.param) {
@@ -634,8 +633,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
                                return "Heap";
                              case TimerQueueKind::kHashedWheel:
                                return "HashedWheel";
-                             case TimerQueueKind::kHierarchicalWheel:
-                               return "HierarchicalWheel";
                              case TimerQueueKind::kCalloutList:
                                return "CalloutList";
                            }
@@ -646,9 +643,9 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
 // and require byte-identical fire sequences.
 
 TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
-  const TimerQueueKind kKinds[] = {
-      TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-      TimerQueueKind::kHierarchicalWheel, TimerQueueKind::kCalloutList};
+  const TimerQueueKind kKinds[] = {TimerQueueKind::kHeap,
+                                   TimerQueueKind::kHashedWheel,
+                                   TimerQueueKind::kCalloutList};
   std::vector<std::vector<uint64_t>> sequences;
   for (TimerQueueKind kind : kKinds) {
     auto q = MakeTimerQueue(kind);
@@ -697,23 +694,21 @@ TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
   }
 }
 
-// Granularity > 1 wheels (not part of the heap's parameter space).
+// Granularity > 1 wheel (not part of the heap's parameter space).
 TEST(HashedWheelGranularityTest, CoarseGranularityStillFiresCorrectly) {
-  for (TimerQueueKind kind : {TimerQueueKind::kHashedWheel, TimerQueueKind::kHierarchicalWheel}) {
-    auto q = MakeTimerQueue(kind, /*tick_granularity=*/8);
-    std::vector<uint64_t> fires;
-    q->Schedule(5, [&] { fires.push_back(5); });
-    q->Schedule(9, [&] { fires.push_back(9); });
-    q->Schedule(64, [&] { fires.push_back(64); });
-    q->ExpireUpTo(4);
-    EXPECT_TRUE(fires.empty());
-    q->ExpireUpTo(7);  // mid-bucket: only the due timer fires
-    EXPECT_EQ(fires, (std::vector<uint64_t>{5}));
-    q->ExpireUpTo(63);
-    EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9}));
-    q->ExpireUpTo(64);
-    EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9, 64}));
-  }
+  auto q = MakeTimerQueue(TimerQueueKind::kHashedWheel, /*tick_granularity=*/8);
+  std::vector<uint64_t> fires;
+  q->Schedule(5, [&] { fires.push_back(5); });
+  q->Schedule(9, [&] { fires.push_back(9); });
+  q->Schedule(64, [&] { fires.push_back(64); });
+  q->ExpireUpTo(4);
+  EXPECT_TRUE(fires.empty());
+  q->ExpireUpTo(7);  // mid-bucket: only the due timer fires
+  EXPECT_EQ(fires, (std::vector<uint64_t>{5}));
+  q->ExpireUpTo(63);
+  EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9}));
+  q->ExpireUpTo(64);
+  EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9, 64}));
 }
 
 }  // namespace

@@ -124,8 +124,6 @@ std::string KindTestName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
       return "Heap";
     case TimerQueueKind::kHashedWheel:
       return "HashedWheel";
-    case TimerQueueKind::kHierarchicalWheel:
-      return "HierWheel";
     case TimerQueueKind::kCalloutList:
       return "CalloutList";
   }
@@ -135,7 +133,6 @@ std::string KindTestName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, SlabTrimTest,
                          ::testing::Values(TimerQueueKind::kHeap,
                                            TimerQueueKind::kHashedWheel,
-                                           TimerQueueKind::kHierarchicalWheel,
                                            TimerQueueKind::kCalloutList),
                          KindTestName);
 

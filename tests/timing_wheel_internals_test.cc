@@ -1,7 +1,7 @@
-// Implementation-specific tests for the wheel structures, beyond the shared
-// conformance suite: bucket wrap-around, multi-round occupancy, hierarchical
-// cascading across level boundaries, coarse granularities, and sustained
-// long-run stress against the heap as an oracle.
+// Implementation-specific tests for the hashed timing wheel, beyond the
+// shared conformance suite: bucket wrap-around, multi-round occupancy,
+// coarse granularities, and sustained long-run stress against the heap as
+// an oracle.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "src/sim/random.h"
 #include "src/timer/hashed_timing_wheel.h"
 #include "src/timer/heap_timer_queue.h"
-#include "src/timer/hierarchical_timing_wheel.h"
 
 namespace softtimer {
 namespace {
@@ -55,73 +54,17 @@ TEST(HashedWheelTest, CancelLeavesNeighborsInBucket) {
   EXPECT_EQ(fired, (std::vector<uint64_t>{10, 18}));
 }
 
-TEST(HierarchicalWheelTest, CascadesAcrossLevelBoundaries) {
-  // 4 slots per level so cascades happen constantly: level-0 horizon is 4,
-  // level-1 is 16, level-2 is 64 ticks.
-  HierarchicalTimingWheel w(1, 4, 4);
-  std::vector<uint64_t> fired;
-  for (uint64_t d : {2u, 7u, 15u, 33u, 62u, 200u}) {
-    w.Schedule(d, [&fired, d] { fired.push_back(d); });
-  }
-  for (uint64_t t = 0; t <= 210; ++t) {
-    w.ExpireUpTo(t);
-  }
-  EXPECT_EQ(fired, (std::vector<uint64_t>{2, 7, 15, 33, 62, 200}));
-}
-
-TEST(HierarchicalWheelTest, ScheduleIntoPartiallyElapsedCoarseBucket) {
-  HierarchicalTimingWheel w(1, 4, 4);
-  // Advance into the middle of a level-1 bucket, then schedule a deadline
-  // that falls inside that same (already partially cascaded) bucket.
-  w.ExpireUpTo(17);
-  std::vector<uint64_t> fired;
-  w.Schedule(19, [&] { fired.push_back(19); });
-  w.ExpireUpTo(18);
-  EXPECT_TRUE(fired.empty());
-  w.ExpireUpTo(19);
-  EXPECT_EQ(fired, (std::vector<uint64_t>{19}));
-}
-
-TEST(HierarchicalWheelTest, FarFutureBeyondTopHorizon) {
-  HierarchicalTimingWheel w(1, 4, 2);  // top horizon: 16 ticks
-  int fired = 0;
-  w.Schedule(1000, [&] { ++fired; });  // wraps the top level many times
-  for (uint64_t t = 0; t < 1000; t += 3) {
-    w.ExpireUpTo(t);
-    ASSERT_EQ(fired, 0) << "fired early at " << t;
-  }
-  w.ExpireUpTo(1000);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(HierarchicalWheelTest, SparseExpiryAfterLongSilence) {
-  HierarchicalTimingWheel w(1, 256, 4);
-  std::vector<uint64_t> fired;
-  w.Schedule(70'000, [&] { fired.push_back(70'000); });
-  w.Schedule(70'001, [&] { fired.push_back(70'001); });
-  w.Schedule(5'000'000, [&] { fired.push_back(5'000'000); });
-  // One giant leap: cascade bookkeeping catches up in a single call.
-  w.ExpireUpTo(80'000);
-  EXPECT_EQ(fired, (std::vector<uint64_t>{70'000, 70'001}));
-  w.ExpireUpTo(6'000'000);
-  EXPECT_EQ(fired.size(), 3u);
-}
-
 class WheelVsHeapStress : public ::testing::TestWithParam<int> {};
 
 TEST_P(WheelVsHeapStress, LongRunMatchesHeapOracle) {
   // Drive a wheel and the heap with the identical operation stream for a
-  // long simulated stretch with tiny wheels (maximum wrap/cascade pressure)
-  // and compare every firing.
+  // long simulated stretch with tiny wheels (maximum wrap pressure) and
+  // compare every firing.
   std::unique_ptr<TimerQueue> impl;
   if (GetParam() == 0) {
     impl = std::make_unique<HashedTimingWheel>(1, 4);
-  } else if (GetParam() == 1) {
-    impl = std::make_unique<HashedTimingWheel>(16, 8);
-  } else if (GetParam() == 2) {
-    impl = std::make_unique<HierarchicalTimingWheel>(1, 4, 3);
   } else {
-    impl = std::make_unique<HierarchicalTimingWheel>(8, 4, 5);
+    impl = std::make_unique<HashedTimingWheel>(16, 8);
   }
   HeapTimerQueue oracle;
   Rng rng(static_cast<uint64_t>(GetParam()) + 5);
@@ -155,18 +98,9 @@ TEST_P(WheelVsHeapStress, LongRunMatchesHeapOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, WheelVsHeapStress, ::testing::Values(0, 1, 2, 3),
+INSTANTIATE_TEST_SUITE_P(Configs, WheelVsHeapStress, ::testing::Values(0, 1),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           switch (info.param) {
-                             case 0:
-                               return "HashedTiny";
-                             case 1:
-                               return "HashedCoarse";
-                             case 2:
-                               return "HierTiny";
-                             default:
-                               return "HierCoarse";
-                           }
+                           return info.param == 0 ? "HashedTiny" : "HashedCoarse";
                          });
 
 }  // namespace
