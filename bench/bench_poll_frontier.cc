@@ -319,7 +319,6 @@ MonNResult RunMonNMode(std::vector<SynthQueue>* queues, double warmup_s,
   hc.num_shards = kServingCores;
   hc.measure_hz = 1'000'000'000;
   hc.interrupt_clock_hz = 1'000;  // 1 ms backup bound
-  hc.queue_kind = TimerQueueKind::kHeap;
   // Every shard polls between trigger checks and bounds its sleep by the
   // poller's next-due gate; per-queue exclusivity is the claim protocol's.
   hc.queue_work.poll = [&poller](size_t shard, uint64_t now_tick) {

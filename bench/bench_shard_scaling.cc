@@ -94,10 +94,6 @@ ScalePoint RunLocalScaling(size_t threads, uint64_t ops_per_thread) {
   ShardedSoftTimerRuntime::Config cfg;
   cfg.num_shards = threads;
   cfg.facility.interrupt_clock_hz = 1'000;
-  // Heap backend: check cost is independent of how many ticks elapsed, which
-  // matters at 1 GHz where a wheel would walk thousands of empty slots per
-  // check (this bench measures the runtime, not wheel-advance amortization).
-  cfg.facility.queue_kind = TimerQueueKind::kHeap;
   ShardedSoftTimerRuntime rt(&clock, cfg);
 
   SpinBarrier barrier(threads + 1);
@@ -176,7 +172,6 @@ void MeasureCrossCoreCosts(CrossCoreResult* out, double scale) {
   ShardedSoftTimerRuntime::Config cfg;
   cfg.num_shards = 1;
   cfg.ring_capacity = 1024;
-  cfg.facility.queue_kind = TimerQueueKind::kHeap;
   ShardedSoftTimerRuntime rt(&clock, cfg);
   auto token = rt.RegisterProducer();
   uint64_t fired = 0;
@@ -223,7 +218,6 @@ void MeasureCrossCoreLatency(CrossCoreResult* out, double scale) {
   MonotonicClockSource clock(1'000'000'000);
   ShardedSoftTimerRuntime::Config cfg;
   cfg.num_shards = 1;
-  cfg.facility.queue_kind = TimerQueueKind::kHeap;
   ShardedSoftTimerRuntime rt(&clock, cfg);
   auto token = rt.RegisterProducer();
 
@@ -361,7 +355,6 @@ IsolatedSloResult RunIsolatedSloOnce(double scale) {
     hc.num_shards = 2;
     hc.measure_hz = 1'000'000'000;
     hc.interrupt_clock_hz = 1'000;  // 1 ms backup period
-    hc.queue_kind = TimerQueueKind::kHeap;
     hc.shard_profiles.resize(2);
     hc.shard_profiles[0].profile = ShardedRtHost::ShardProfile::kIsolated;
     hc.shard_profiles[0].backup = ShardedRtHost::IsolatedBackup::kCompensated;
@@ -403,7 +396,6 @@ IsolatedSloResult RunIsolatedSloOnce(double scale) {
     hc.num_shards = 1;
     hc.measure_hz = 1'000'000'000;
     hc.interrupt_clock_hz = 1'000;
-    hc.queue_kind = TimerQueueKind::kHeap;
     hc.shard_profiles.resize(1);
     hc.shard_profiles[0].profile = ShardedRtHost::ShardProfile::kIsolated;
     hc.shard_profiles[0].backup =

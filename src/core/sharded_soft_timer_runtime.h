@@ -16,7 +16,7 @@
 //  * Any other thread first calls RegisterProducer() once, then uses its
 //    ProducerToken with ScheduleCrossCore / CancelCrossCore. Commands are
 //    drained at the target shard's trigger states, so remote work always
-//    executes on the owning core - the slab, wheel, and facility state stay
+//    executes on the owning core - the slab, queue, and facility state stay
 //    single-threaded and the paper's hot path stays intact.
 //
 // Steady-state costs:

@@ -16,8 +16,10 @@
 // which the backup interrupt enforces on the high side (it calls
 // OnBackupInterrupt() every X ticks and dispatches anything overdue).
 //
-// The facility is pure scheduling logic over a ClockSource and a TimerQueue:
-// it consumes no CPU-time model of its own. The host environment (in this
+// The facility is pure scheduling logic over a ClockSource and a TimerQueue
+// (a binary heap by default; the paper kept events in a modified timing
+// wheel, and DESIGN.md section 13 measures why the heap replaced it): it
+// consumes no CPU-time model of its own. The host environment (in this
 // repository, machine::Kernel) is responsible for (a) calling
 // OnTriggerState() at every trigger state, (b) calling OnBackupInterrupt()
 // from the periodic timer interrupt, and (c) charging whatever per-check and
@@ -62,9 +64,8 @@ class SoftTimerFacility {
     // typically 1 kHz). The host must actually call OnBackupInterrupt() at
     // this rate; the facility only uses the value for bookkeeping/X.
     uint64_t interrupt_clock_hz = 1'000;
-    // Timer data structure holding pending events (the paper uses a modified
-    // timing wheel).
-    TimerQueueKind queue_kind = TimerQueueKind::kHashedWheel;
+    // Timer data structure holding pending events (see the header comment).
+    TimerQueueKind queue_kind = TimerQueueKind::kHeap;
     // Graceful-degradation policy (drought escalation, handler quarantine,
     // batch caps). Disabled by default: the facility then runs the
     // zero-overhead fast-gate dispatch path.

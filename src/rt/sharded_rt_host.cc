@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include "src/core/cpu_relax.h"
 
 namespace softtimer {
@@ -133,6 +137,11 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
 
 void ShardedRtHost::RunShard(size_t shard) {
   ShardLoop& loop = *loops_[shard];
+#if defined(__linux__)
+  // Timer slack is per thread, so set it here, on the loop thread itself. A
+  // failure leaves the OS default: sleeps stay bounded, only less precise.
+  prctl(PR_SET_TIMERSLACK, kShardTimerSlackNs, 0, 0, 0);
+#endif
   if (config_.shard_setup) {
     config_.shard_setup(shard);
   }

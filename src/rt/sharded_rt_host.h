@@ -25,7 +25,9 @@
 // are first-class:
 //
 //  * kNormal - the loop described above (trigger checks + backup-bounded
-//    sleeps).
+//    sleeps). On Linux the loop thread's timer slack is held to
+//    kShardTimerSlackNs, so each sleep overshoots its deadline by at most
+//    that much instead of the OS default of 50 us.
 //
 //  * kIsolated - a latency-SLO dedicated core: the loop spins on
 //    trigger-state checks forever (CpuRelax() pause hint per iteration) and
@@ -69,6 +71,12 @@ namespace softtimer {
 
 class ShardedRtHost {
  public:
+  // Timer slack of a normal shard's loop thread (Linux PR_SET_TIMERSLACK):
+  // how late the OS may fire the one-shot timer that ends a sleep. Fixed
+  // rather than configured because one value served every composed workload
+  // (DESIGN.md section 13). Isolated shards spin and never sleep.
+  static constexpr unsigned long kShardTimerSlackNs = 20'000;
+
   enum class IdleStrategy {
     kSleep,     // backup-bounded condvar sleep (production default)
     kBusyPoll,  // spin on trigger-state checks (lowest latency; benches)
@@ -105,7 +113,7 @@ class ShardedRtHost {
     size_t num_shards = 2;
     uint64_t measure_hz = 1'000'000;
     uint64_t interrupt_clock_hz = 1'000;  // backup bound: 1 ms
-    TimerQueueKind queue_kind = TimerQueueKind::kHashedWheel;
+    TimerQueueKind queue_kind = TimerQueueKind::kHeap;
     IdleStrategy idle_strategy = IdleStrategy::kSleep;
     size_t max_producers = 8;
     size_t ring_capacity = 1024;

@@ -4,7 +4,7 @@
 //
 // O(n) schedule, O(1) earliest-deadline and expiry-per-fired-timer. Included
 // as the historically-faithful baseline for the microbenchmarks and as a
-// fourth implementation under the conformance suite.
+// second implementation under the conformance suite.
 //
 // The list is intrusive and doubly linked over slab-recycled nodes
 // (timer_slab.h): schedule walks from the tail (O(1) for mostly-ascending
@@ -30,7 +30,6 @@ class CalloutListTimerQueue : public TimerQueue {
   size_t ExpireUpTo(uint64_t now_tick) override;
   std::optional<uint64_t> EarliestDeadline() const override;
   size_t size() const override { return live_count_; }
-  std::string name() const override { return "callout-list"; }
   TimerSlabStats slab_stats() const override { return slab_.stats(); }
   // List links only ever reach live nodes, so the slab can trim directly.
   size_t TrimSlab() override { return slab_.Trim(); }

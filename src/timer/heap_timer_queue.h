@@ -1,6 +1,6 @@
 // Binary-heap TimerQueue. O(log n) schedule, O(1) earliest-deadline,
-// lazy-deletion cancel. The baseline the timing wheels are compared against
-// in bench/bench_micro_timer_wheel.cc.
+// lazy-deletion cancel. Every host's default queue (DESIGN.md section 13
+// has the measurements that chose it).
 //
 // Payloads live in slab-recycled nodes (timer_slab.h); the heap itself holds
 // only {deadline, seq, slot, generation} entries, so a cancelled timer's
@@ -31,7 +31,6 @@ class HeapTimerQueue : public TimerQueue {
   size_t ExpireUpTo(uint64_t now_tick) override;
   std::optional<uint64_t> EarliestDeadline() const override;
   size_t size() const override { return live_count_; }
-  std::string name() const override { return "heap"; }
   TimerSlabStats slab_stats() const override { return slab_.stats(); }
   // Lazily-deleted heap entries may reference freed slots, so compact (drop
   // every stale entry) before releasing chunks out from under them.
@@ -86,8 +85,8 @@ class HeapTimerQueue : public TimerQueue {
   // the reallocating branch (see the SOFTTIMER_COLD marker on the definition).
   void GrowHeap();
 
-  // Deadlines below this are clamped up to it (same semantics as the
-  // wheels): a past deadline fires on the next ExpireUpTo.
+  // Deadlines below this are clamped up to it: a past deadline fires on the
+  // next ExpireUpTo.
   uint64_t cursor_ = 0;
   mutable std::vector<HeapEntry> heap_;
   mutable size_t stale_count_ = 0;

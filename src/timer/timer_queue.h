@@ -1,17 +1,16 @@
 // TimerQueue: the data-structure interface under the soft-timer facility.
 //
 // The paper maintains scheduled soft-timer events in "a modified form of
-// timing wheels [Varghese & Lauck]". This library provides three
-// interchangeable implementations behind one interface:
+// timing wheels [Varghese & Lauck]". This library provides two
+// interchangeable implementations behind one interface (its hashed timing
+// wheel lost to the heap on every composed workload; DESIGN.md section 13):
 //
-//   HashedTimingWheel        - single-level hashed wheel with rounds; the
-//                              paper's structure and every host's default.
-//   HeapTimerQueue           - binary heap; the textbook baseline and the
+//   HeapTimerQueue           - binary heap; every host's default and the
 //                              oracle of the differential tests.
 //   CalloutListTimerQueue    - sorted list; the 4.3BSD callout structure
 //                              timing wheels were invented to replace.
 //
-// All of them deal in abstract unsigned "ticks" (the facility maps its
+// Both deal in abstract unsigned "ticks" (the facility maps its
 // measurement clock onto ticks). Deadlines are absolute tick values.
 //
 // Hot-path design: a scheduled timer is a typed node, not a heap-allocated
@@ -50,7 +49,6 @@
 #include <memory>
 #include <new>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -216,9 +214,7 @@ class TimerQueue {
   // Fires all timers with deadline <= now_tick; returns how many fired.
   virtual size_t ExpireUpTo(uint64_t now_tick) = 0;
 
-  // Exact earliest pending deadline, or nullopt when empty. The wheel
-  // implementations cache it and recompute by walking bucket heads from the
-  // cursor (early-exiting) when invalidated.
+  // Exact earliest pending deadline, or nullopt when empty.
   virtual std::optional<uint64_t> EarliestDeadline() const = 0;
 
   // Number of pending timers.
@@ -234,9 +230,6 @@ class TimerQueue {
   // rejectable afterwards.
   virtual size_t TrimSlab() = 0;
 
-  // Implementation name, for bench labels.
-  virtual std::string name() const = 0;
-
  private:
   template <typename F>
   struct CallbackThunk {
@@ -247,18 +240,14 @@ class TimerQueue {
 
 // Factory selector used by SoftTimerFacility config. The values are pinned:
 // gtest prints a parameter's bytes into each parameterized test's name, so a
-// kind keeps its value when another kind is deleted (2 was the hierarchical
-// timing wheel).
+// kind keeps its value when another kind is deleted (1 was the hashed timing
+// wheel, 2 the hierarchical one).
 enum class TimerQueueKind {
   kHeap = 0,
-  kHashedWheel = 1,
   kCalloutList = 3,
 };
 
-// Creates a queue of the given kind. `tick_granularity` is the wheel slot
-// width in ticks (ignored by the heap and the callout list).
-std::unique_ptr<TimerQueue> MakeTimerQueue(TimerQueueKind kind,
-                                           uint64_t tick_granularity = 1);
+std::unique_ptr<TimerQueue> MakeTimerQueue(TimerQueueKind kind);
 
 const char* TimerQueueKindName(TimerQueueKind kind);
 

@@ -87,13 +87,11 @@ inline constexpr uint32_t NextTimerGeneration(uint32_t generation) {
   return next == 0 ? 1 : next;
 }
 
-// Node lifecycle states shared by the queue implementations. kDue marks a
-// node pulled out of its bucket into an expiry batch but not yet fired (it
-// can still be cancelled by an earlier callback in the same batch).
+// Node lifecycle states shared by the queue implementations and the pacing
+// wheel.
 enum class TimerNodeState : uint8_t {
   kFree = 0,
   kPending,
-  kDue,
   kCancelledDue,  // cancelled while sitting in an expiry batch
 };
 

@@ -71,8 +71,7 @@ std::vector<Dispatch> RunBackend(TimerQueueKind kind) {
 TEST(BackendEquivalenceTest, IdenticalDispatchTracesAcrossAllTimerQueues) {
   std::vector<Dispatch> reference = RunBackend(TimerQueueKind::kHeap);
   ASSERT_GT(reference.size(), 3'000u);
-  for (TimerQueueKind kind :
-       {TimerQueueKind::kHashedWheel, TimerQueueKind::kCalloutList}) {
+  for (TimerQueueKind kind : {TimerQueueKind::kCalloutList}) {
     std::vector<Dispatch> trace = RunBackend(kind);
     EXPECT_EQ(trace.size(), reference.size()) << TimerQueueKindName(kind);
     ASSERT_EQ(trace, reference) << TimerQueueKindName(kind);

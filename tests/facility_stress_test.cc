@@ -107,7 +107,6 @@ TEST_P(FacilityStress, HandlersSchedulingAndCancellingPeers) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, FacilityStress,
                          ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kHashedWheel,
                                            TimerQueueKind::kCalloutList),
                          [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
                            std::string n = TimerQueueKindName(info.param);

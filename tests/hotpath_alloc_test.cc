@@ -289,7 +289,6 @@ TEST(MultiQueuePollerAllocTest, ClaimAndPollPathAllocatesNothing) {
 std::string KindName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
   switch (info.param) {
     case TimerQueueKind::kHeap: return "Heap";
-    case TimerQueueKind::kHashedWheel: return "HashedWheel";
     case TimerQueueKind::kCalloutList: return "CalloutList";
   }
   return "Unknown";
@@ -297,14 +296,12 @@ std::string KindName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllQueueKinds, PacingWheelAllocTest,
-    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-                      TimerQueueKind::kCalloutList),
+    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kCalloutList),
     KindName);
 
 INSTANTIATE_TEST_SUITE_P(
     AllQueueKinds, HotpathAllocTest,
-    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kHashedWheel,
-                      TimerQueueKind::kCalloutList),
+    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kCalloutList),
     KindName);
 
 }  // namespace

@@ -1,12 +1,18 @@
 // ShardedRtHost behaviour: per-shard trigger loops, cross-core wakeups
-// cutting through backup-bounded sleeps, and a normal shard's lateness
-// record. Real threads and wall-clock sleeps; bounds are loose for loaded CI
-// machines. Runs under the `cross-thread` label / tsan preset.
+// cutting through backup-bounded sleeps, a normal shard's lateness record
+// and its loop thread's timer slack. Real threads and wall-clock sleeps;
+// bounds are loose for loaded CI machines. Runs under the `cross-thread`
+// label / tsan preset.
 
 #include "src/rt/sharded_rt_host.h"
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -82,6 +88,27 @@ TEST(ShardedRtHostTest, NormalShardLatenessIsTheFacilityHistogram) {
   EXPECT_EQ(host.shard_lateness_clean(1).count(), dispatches);
   EXPECT_GE(host.shard_lateness_raw(1).min(), 1u);  // T < actual
   EXPECT_EQ(host.shard_lateness_raw(0).count(), 0u);
+}
+
+TEST(ShardedRtHostTest, NormalShardThreadUsesFixedTimerSlack) {
+#if defined(__linux__)
+  // The slack is per thread, so read it on each loop thread: shard_setup
+  // runs there, after the loop has set it (the OS default is 50 us).
+  ShardedRtHost::Config cfg;
+  cfg.num_shards = 2;
+  std::array<int, 2> slack_ns{};
+  cfg.shard_setup = [&slack_ns](size_t shard) {
+    slack_ns[shard] = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  };
+  ShardedRtHost host(cfg);
+  host.Start();
+  host.Stop();  // joins both loop threads, so both hooks have run
+  for (int slack : slack_ns) {
+    EXPECT_EQ(slack, static_cast<int>(ShardedRtHost::kShardTimerSlackNs));
+  }
+#else
+  GTEST_SKIP() << "timer slack is a Linux prctl";
+#endif
 }
 
 }  // namespace

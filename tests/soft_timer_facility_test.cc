@@ -373,9 +373,7 @@ TEST_P(DelayBoundProperty, ActualFireTimeWithinPaperBound) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, DelayBoundProperty,
     ::testing::Values(BoundParam{TimerQueueKind::kHeap, 1},
-                      BoundParam{TimerQueueKind::kHeap, 99},
-                      BoundParam{TimerQueueKind::kHashedWheel, 1},
-                      BoundParam{TimerQueueKind::kHashedWheel, 99}),
+                      BoundParam{TimerQueueKind::kHeap, 99}),
     [](const ::testing::TestParamInfo<BoundParam>& info) {
       std::string name = TimerQueueKindName(info.param.kind);
       for (auto& c : name) {

@@ -1,5 +1,5 @@
-// Conformance suite shared by every TimerQueue implementation (heap, hashed
-// wheel, callout list): the semantics documented in
+// Conformance suite shared by every TimerQueue implementation (heap,
+// callout list): the semantics documented in
 // src/timer/timer_queue.h, exercised identically via TEST_P, plus a
 // randomized differential test that replays the same operation stream
 // (including Update re-arms) against a trivially-correct reference model.
@@ -20,9 +20,7 @@ namespace {
 
 class TimerQueueConformanceTest : public ::testing::TestWithParam<TimerQueueKind> {
  protected:
-  std::unique_ptr<TimerQueue> Make(uint64_t granularity = 1) {
-    return MakeTimerQueue(GetParam(), granularity);
-  }
+  std::unique_ptr<TimerQueue> Make() { return MakeTimerQueue(GetParam()); }
 };
 
 TEST_P(TimerQueueConformanceTest, FiresAtOrAfterDeadline) {
@@ -192,8 +190,7 @@ TEST_P(TimerQueueConformanceTest, PeekUserDataCannotLeakSlotReusersCookie) {
 
 TEST_P(TimerQueueConformanceTest, PeekThenCancelWorksOnDueBatchPeer) {
   // Mid-expiry window: a handler peeks and cancels a peer that is due in the
-  // same batch but has not fired yet (the wheels hold such peers in a
-  // detached kDue state). The peek must still see the peer's cookie and the
+  // same batch but has not fired yet. The peek must still see the peer's cookie and the
   // cancel must suppress its dispatch - this is exactly the sequence
   // SoftTimerFacility::CancelSoftEvent runs from inside a handler.
   auto q = Make();
@@ -511,8 +508,8 @@ TEST_P(TimerQueueConformanceTest, LongHorizonDeadlines) {
 }
 
 TEST_P(TimerQueueConformanceTest, WheelRoundCollisions) {
-  // Two timers that hash to the same bucket in different rounds (for a
-  // 1024-slot wheel at granularity 1, deadlines d and d + 1024).
+  // Deadlines d, d + 1024 and d + 2048: the same bucket of a 1024-slot
+  // timing wheel, in different rounds.
   auto q = Make();
   std::vector<uint64_t> fires;
   q->Schedule(100, [&] { fires.push_back(100); });
@@ -625,14 +622,11 @@ TEST_P(TimerQueueConformanceTest, RandomizedDifferentialAgainstReference) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
                          ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kHashedWheel,
                                            TimerQueueKind::kCalloutList),
                          [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
                            switch (info.param) {
                              case TimerQueueKind::kHeap:
                                return "Heap";
-                             case TimerQueueKind::kHashedWheel:
-                               return "HashedWheel";
                              case TimerQueueKind::kCalloutList:
                                return "CalloutList";
                            }
@@ -644,7 +638,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TimerQueueConformanceTest,
 
 TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
   const TimerQueueKind kKinds[] = {TimerQueueKind::kHeap,
-                                   TimerQueueKind::kHashedWheel,
                                    TimerQueueKind::kCalloutList};
   std::vector<std::vector<uint64_t>> sequences;
   for (TimerQueueKind kind : kKinds) {
@@ -692,23 +685,6 @@ TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
         << "backend " << TimerQueueKindName(kKinds[i])
         << " diverged from " << TimerQueueKindName(kKinds[0]);
   }
-}
-
-// Granularity > 1 wheel (not part of the heap's parameter space).
-TEST(HashedWheelGranularityTest, CoarseGranularityStillFiresCorrectly) {
-  auto q = MakeTimerQueue(TimerQueueKind::kHashedWheel, /*tick_granularity=*/8);
-  std::vector<uint64_t> fires;
-  q->Schedule(5, [&] { fires.push_back(5); });
-  q->Schedule(9, [&] { fires.push_back(9); });
-  q->Schedule(64, [&] { fires.push_back(64); });
-  q->ExpireUpTo(4);
-  EXPECT_TRUE(fires.empty());
-  q->ExpireUpTo(7);  // mid-bucket: only the due timer fires
-  EXPECT_EQ(fires, (std::vector<uint64_t>{5}));
-  q->ExpireUpTo(63);
-  EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9}));
-  q->ExpireUpTo(64);
-  EXPECT_EQ(fires, (std::vector<uint64_t>{5, 9, 64}));
 }
 
 }  // namespace

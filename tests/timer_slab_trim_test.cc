@@ -122,8 +122,6 @@ std::string KindTestName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
   switch (info.param) {
     case TimerQueueKind::kHeap:
       return "Heap";
-    case TimerQueueKind::kHashedWheel:
-      return "HashedWheel";
     case TimerQueueKind::kCalloutList:
       return "CalloutList";
   }
@@ -132,7 +130,6 @@ std::string KindTestName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SlabTrimTest,
                          ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kHashedWheel,
                                            TimerQueueKind::kCalloutList),
                          KindTestName);
 
