@@ -10,8 +10,8 @@
 //   --hotpath-json=PATH   instead of running google-benchmark, measure the
 //                         hot-path operations (schedule, cancel, nothing-due
 //                         check, dispatch cycle, burst drains, and the
-//                         update-heavy re-arm mix) across every
-//                         TimerQueue kind and write machine-readable JSON
+//                         update-heavy re-arm mix) on the facility's heap
+//                         queue and write machine-readable JSON
 //                         (ns/op and allocs/op) to PATH, alongside the
 //                         facility-level numbers recorded from the tree
 //                         before the zero-allocation rework.
@@ -35,14 +35,11 @@ namespace softtimer {
 namespace {
 
 struct Env {
-  explicit Env(TimerQueueKind kind = SoftTimerFacility::Config{}.queue_kind,
-               uint32_t max_dispatches_per_clock_read = 0)
+  explicit Env(uint32_t max_dispatches_per_clock_read = 0)
       : clock(&sim, 1'000'000),
-        facility(&clock, MakeConfig(kind, max_dispatches_per_clock_read)) {}
-  static SoftTimerFacility::Config MakeConfig(TimerQueueKind kind,
-                                              uint32_t max_reads) {
+        facility(&clock, MakeConfig(max_dispatches_per_clock_read)) {}
+  static SoftTimerFacility::Config MakeConfig(uint32_t max_reads) {
     SoftTimerFacility::Config config;
-    config.queue_kind = kind;
     if (max_reads > 0) {
       config.max_dispatches_per_clock_read = max_reads;
     }
@@ -154,12 +151,12 @@ OpSample Measure(size_t iters, F&& body) {
   return s;
 }
 
-HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
+HotpathSample MeasureHotpath(size_t iters) {
   HotpathSample out;
 
   // Nothing-due trigger check: one far-out pending event, steady state.
   {
-    Env env(kind);
+    Env env;
     env.facility.ScheduleSoftEvent(1'000'000'000,
                                    [](const SoftTimerFacility::FireInfo&) {});
     for (size_t i = 0; i < 1000; ++i) {
@@ -174,7 +171,7 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
   // timed in isolation. One untimed warmup round grows the slab and the
   // ids vector to their high-water marks first.
   {
-    Env env(kind);
+    Env env;
     constexpr size_t kBatch = 512;
     size_t rounds = iters / kBatch + 1;
     std::vector<SoftEventId> ids(kBatch);
@@ -205,7 +202,7 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
 
   // Full schedule -> clock advance -> dispatch cycle.
   {
-    Env env(kind);
+    Env env;
     auto cycle = [&](size_t) {
       env.facility.ScheduleSoftEvent(1, [](const SoftTimerFacility::FireInfo&) {});
       env.sim.RunUntil(env.sim.now() + SimDuration::Nanos(2'000));
@@ -224,7 +221,7 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
   // what the amortized batch clock read saves.
   constexpr size_t kBurst = 128;
   auto measure_burst = [&](uint32_t max_reads) {
-    Env env(kind, max_reads);
+    Env env(max_reads);
     auto round = [&](size_t) {
       for (size_t e = 0; e < kBurst; ++e) {
         env.facility.ScheduleSoftEvent(1, [](const SoftTimerFacility::FireInfo&) {});
@@ -250,7 +247,7 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
   // restarting survivor timers on every partial ACK.
   constexpr size_t kPool = 4096;
   auto measure_rearm = [&](bool reschedule) {
-    Env env(kind);
+    Env env;
     std::vector<SoftEventId> ids(kPool);
     for (size_t i = 0; i < kPool; ++i) {
       ids[i] = env.facility.ScheduleSoftEvent(
@@ -268,7 +265,7 @@ HotpathSample MeasureHotpath(TimerQueueKind kind, size_t iters) {
       }
     };
     for (size_t i = 0; i < kPool; ++i) {
-      rearm(i);  // warmup: slab and (heap backend) entry vector high-water
+      rearm(i);  // warmup: slab and heap entry vector high-water
     }
     return Measure(iters, rearm);
   };
@@ -316,34 +313,29 @@ int WriteHotpathJson(const std::string& path, size_t iters) {
                "    \"trigger_check_nothing_due_allocs_per_op\": 0.000\n"
                "  },\n");
   std::fprintf(f, "  \"current\": {\n");
-  const TimerQueueKind kKinds[] = {TimerQueueKind::kHeap,
-                                   TimerQueueKind::kCalloutList};
-  constexpr size_t kNumKinds = sizeof(kKinds) / sizeof(kKinds[0]);
-  for (size_t k = 0; k < kNumKinds; ++k) {
-    HotpathSample s = MeasureHotpath(kKinds[k], iters);
-    std::fprintf(f, "    \"%s\": {\n", TimerQueueKindName(kKinds[k]));
-    WriteOp(f, "schedule", s.schedule, ",");
-    WriteOp(f, "cancel", s.cancel, ",");
-    WriteOp(f, "nothing_due_check", s.nothing_due_check, ",");
-    WriteOp(f, "dispatch_cycle", s.dispatch_cycle, ",");
-    WriteOp(f, "burst_dispatch_read_every_event",
-            s.burst_dispatch_read_every_event, ",");
-    WriteOp(f, "burst_dispatch_amortized_reads",
-            s.burst_dispatch_amortized_reads, ",");
-    WriteOp(f, "update", s.update, ",");
-    WriteOp(f, "update_emulated", s.update_emulated, "");
-    std::fprintf(f, "    }%s\n", k + 1 < kNumKinds ? "," : "");
-    std::printf("%-12s schedule %6.1f ns  cancel %6.1f ns  nothing-due %5.2f ns "
-                "(allocs/op %.3f)  dispatch-cycle %6.1f ns  "
-                "burst/event %5.1f -> %5.1f ns  "
-                "update %5.1f ns vs pair %5.1f ns\n",
-                TimerQueueKindName(kKinds[k]), s.schedule.ns_per_op,
-                s.cancel.ns_per_op, s.nothing_due_check.ns_per_op,
-                s.nothing_due_check.allocs_per_op, s.dispatch_cycle.ns_per_op,
-                s.burst_dispatch_read_every_event.ns_per_op,
-                s.burst_dispatch_amortized_reads.ns_per_op,
-                s.update.ns_per_op, s.update_emulated.ns_per_op);
-  }
+  HotpathSample s = MeasureHotpath(iters);
+  std::fprintf(f, "    \"heap\": {\n");
+  WriteOp(f, "schedule", s.schedule, ",");
+  WriteOp(f, "cancel", s.cancel, ",");
+  WriteOp(f, "nothing_due_check", s.nothing_due_check, ",");
+  WriteOp(f, "dispatch_cycle", s.dispatch_cycle, ",");
+  WriteOp(f, "burst_dispatch_read_every_event",
+          s.burst_dispatch_read_every_event, ",");
+  WriteOp(f, "burst_dispatch_amortized_reads",
+          s.burst_dispatch_amortized_reads, ",");
+  WriteOp(f, "update", s.update, ",");
+  WriteOp(f, "update_emulated", s.update_emulated, "");
+  std::fprintf(f, "    }\n");
+  std::printf("%-12s schedule %6.1f ns  cancel %6.1f ns  nothing-due %5.2f ns "
+              "(allocs/op %.3f)  dispatch-cycle %6.1f ns  "
+              "burst/event %5.1f -> %5.1f ns  "
+              "update %5.1f ns vs pair %5.1f ns\n",
+              "heap", s.schedule.ns_per_op, s.cancel.ns_per_op,
+              s.nothing_due_check.ns_per_op, s.nothing_due_check.allocs_per_op,
+              s.dispatch_cycle.ns_per_op,
+              s.burst_dispatch_read_every_event.ns_per_op,
+              s.burst_dispatch_amortized_reads.ns_per_op, s.update.ns_per_op,
+              s.update_emulated.ns_per_op);
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());

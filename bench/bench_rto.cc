@@ -12,8 +12,8 @@
 //               path, and zero fires across the whole phase.
 //   rearm       Full 4-segment windows under partial ACKs: every ACK
 //               retires the head and restarts the three survivors (RFC
-//               6298 5.3) through RescheduleOnShard, on the default
-//               backend. Gates: every round restarts 3 survivors/conn, 0
+//               6298 5.3) through RescheduleOnShard, on the heap
+//               queue. Gates: every round restarts 3 survivors/conn, 0
 //               allocs/op, zero fires, exact conservation.
 //   loss        Same engine under a FaultInjector plan (probabilistic
 //               data/ACK loss plus a deterministic burst episode): timers
@@ -268,7 +268,7 @@ RearmResult RunRearm(size_t conns) {
   constexpr int kReps = 3;
   RearmResult r;
   r.conns = conns;
-  r.queue = TimerQueueKindName(rc.facility.queue_kind);
+  r.queue = "heap";
   r.measured_rounds = kReps;
   r.reschedules = static_cast<uint64_t>(conns) * (kRtoWindowSegments - 1);
   uint64_t best_cpu = UINT64_MAX;

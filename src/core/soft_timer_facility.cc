@@ -24,7 +24,6 @@ SoftTimerFacility::SoftTimerFacility(const ClockSource* clock, Config config)
     config_.max_dispatches_per_clock_read = 1;  // documented minimum
   }
   assert(clock_->ResolutionHz() >= config_.interrupt_clock_hz);
-  queue_ = MakeTimerQueue(config_.queue_kind);
   if (config_.degradation.enabled) {
     policy_ = std::make_unique<DegradationPolicy>(config_.degradation,
                                                   ticks_per_backup_interval());
@@ -100,7 +99,7 @@ void SoftTimerFacility::RunOrDeferFired(const TimerFired& fired,
     replacement.tag = p.tag;
     replacement.user_data = public_id;
     replacement.handler.emplace(PolicyThunk{this, std::move(handler)});
-    TimerId tid = queue_->Schedule(fired.deadline_tick, std::move(replacement));
+    TimerId tid = queue_.Schedule(fired.deadline_tick, std::move(replacement));
     deferred_remap_[public_id] = tid;
     return;
   }
@@ -136,7 +135,7 @@ SoftEventId SoftTimerFacility::ScheduleSoftEventWithCookie(uint64_t delta_ticks,
   } else {
     payload.handler.emplace(PolicyThunk{this, std::move(handler)});
   }
-  TimerId tid = queue_->Schedule(deadline, std::move(payload));
+  TimerId tid = queue_.Schedule(deadline, std::move(payload));
   if (schedule_observer_) {
     schedule_observer_();
   }
@@ -149,9 +148,9 @@ bool SoftTimerFacility::CancelSoftEvent(SoftEventId id) {
   // acted on when the cancel lands. No-policy mode only: policy mode reuses
   // user_data for deferral remaps, and cookies require no policy anyway.
   uint64_t cookie = policy_ == nullptr && event_retired_fn_ != nullptr
-                        ? queue_->PeekUserData(TimerId{id.value})
+                        ? queue_.PeekUserData(TimerId{id.value})
                         : 0;
-  bool ok = queue_->Cancel(TimerId{id.value});
+  bool ok = queue_.Cancel(TimerId{id.value});
   // Only a policy-mode deferral ever remaps an id, so the no-policy path
   // never probes the map.
   if (!ok && policy_ && !deferred_remap_.empty()) {
@@ -177,7 +176,7 @@ bool SoftTimerFacility::CancelViaDeferredRemap(uint64_t id_value) {
   if (it == deferred_remap_.end()) {
     return false;
   }
-  bool ok = queue_->Cancel(it->second);
+  bool ok = queue_.Cancel(it->second);
   deferred_remap_.erase(it);
   return ok;
 }
@@ -189,7 +188,7 @@ SoftEventId SoftTimerFacility::RescheduleSoftEvent(SoftEventId id,
   // payload.user_data for deferral remaps and would need the remap probe on
   // every re-arm, defeating the point of the fast path.
   assert(policy_ == nullptr);
-  TimerPayload* payload = queue_->MutablePayload(TimerId{id.value});
+  TimerPayload* payload = queue_.MutablePayload(TimerId{id.value});
   if (payload == nullptr) {
     return SoftEventId{};  // already fired or cancelled
   }
@@ -202,7 +201,7 @@ SoftEventId SoftTimerFacility::RescheduleSoftEvent(SoftEventId id,
   // Same deadline rule as a fresh schedule: fire once measure_time() exceeds
   // the scheduled value by at least T + 1.
   uint64_t deadline = scheduled_tick + delta_ticks + 1;
-  TimerId moved = queue_->Update(TimerId{id.value}, deadline);
+  TimerId moved = queue_.Update(TimerId{id.value}, deadline);
   if (!moved.valid()) {
     return SoftEventId{};  // raced with expiry between the peek and the move
   }
@@ -227,10 +226,10 @@ size_t SoftTimerFacility::ExpireDue(TriggerSource source) {
   // clock read per drain; see Config::max_dispatches_per_clock_read).
   batch_fired_tick_ = now;
   batch_reads_left_ = config_.max_dispatches_per_clock_read;
-  size_t fired = queue_->ExpireUpTo(now);
+  size_t fired = queue_.ExpireUpTo(now);
   // Refresh the gate from the queue (handlers may have scheduled or
   // cancelled; the queue's cached earliest makes this cheap).
-  std::optional<uint64_t> earliest = queue_->EarliestDeadline();
+  std::optional<uint64_t> earliest = queue_.EarliestDeadline();
   next_deadline_ = earliest ? *earliest : UINT64_MAX;
   return fired;
 }
@@ -238,11 +237,11 @@ size_t SoftTimerFacility::ExpireDue(TriggerSource source) {
 size_t SoftTimerFacility::PolicyCheck(TriggerSource source) {
   dispatch_source_ = source;
   uint64_t now = MeasureTime();
-  policy_->OnCheck(now, source, queue_->EarliestDeadline(), queue_->size());
+  policy_->OnCheck(now, source, queue_.EarliestDeadline(), queue_.size());
   batch_fired_tick_ = now;
   batch_reads_left_ = config_.max_dispatches_per_clock_read;
   dispatched_this_check_ = 0;
-  queue_->ExpireUpTo(now);
+  queue_.ExpireUpTo(now);
   return dispatched_this_check_;
 }
 

@@ -16,11 +16,12 @@
 // which the backup interrupt enforces on the high side (it calls
 // OnBackupInterrupt() every X ticks and dispatches anything overdue).
 //
-// The facility is pure scheduling logic over a ClockSource and a TimerQueue
-// (a binary heap by default; the paper kept events in a modified timing
-// wheel, and DESIGN.md section 13 measures why the heap replaced it): it
-// consumes no CPU-time model of its own. The host environment (in this
-// repository, machine::Kernel) is responsible for (a) calling
+// The facility is pure scheduling logic over a ClockSource and a
+// HeapTimerQueue it holds by value (the paper kept events in a modified
+// timing wheel; DESIGN.md section 13 measures why one binary heap replaced
+// it), so schedule, cancel, re-arm and expiry are direct calls into the
+// heap. It consumes no CPU-time model of its own. The host environment (in
+// this repository, machine::Kernel) is responsible for (a) calling
 // OnTriggerState() at every trigger state, (b) calling OnBackupInterrupt()
 // from the periodic timer interrupt, and (c) charging whatever per-check and
 // per-dispatch costs apply via the observer hooks.
@@ -28,7 +29,7 @@
 // Hot-path anatomy (see DESIGN.md): trigger-state checks are the operation
 // the paper requires to cost "roughly that of a function call", so the
 // facility keeps a cached next-deadline tick. A check when nothing is due is
-// one clock read plus one compare - no virtual call into the queue, no
+// one clock read plus one compare - no call into the queue, no
 // allocation. Scheduling moves the handler into the timer queue's typed slab
 // node (TimerPayload, src/timer/timer_queue.h), so steady-state scheduling
 // performs zero heap allocations as well.
@@ -47,7 +48,7 @@
 #include "src/core/degradation_policy.h"
 #include "src/core/trigger.h"
 #include "src/stats/latency_histogram.h"
-#include "src/timer/timer_queue.h"
+#include "src/timer/heap_timer_queue.h"
 
 namespace softtimer {
 
@@ -64,8 +65,6 @@ class SoftTimerFacility {
     // typically 1 kHz). The host must actually call OnBackupInterrupt() at
     // this rate; the facility only uses the value for bookkeeping/X.
     uint64_t interrupt_clock_hz = 1'000;
-    // Timer data structure holding pending events (see the header comment).
-    TimerQueueKind queue_kind = TimerQueueKind::kHeap;
     // Graceful-degradation policy (drought escalation, handler quarantine,
     // batch caps). Disabled by default: the facility then runs the
     // zero-overhead fast-gate dispatch path.
@@ -235,13 +234,13 @@ class SoftTimerFacility {
   // this to decide whether to halt (Section 5.2: halt when nothing is due
   // before the next backup interrupt). Exact (reads the queue, not the
   // fast-gate cache).
-  std::optional<uint64_t> NextDeadlineTick() const { return queue_->EarliestDeadline(); }
+  std::optional<uint64_t> NextDeadlineTick() const { return queue_.EarliestDeadline(); }
 
-  size_t pending_count() const { return queue_->size(); }
+  size_t pending_count() const { return queue_.size(); }
 
-  // Releases fully-free timer-node slab chunks (see TimerQueue::TrimSlab);
+  // Releases fully-free timer-node slab chunks (see HeapTimerQueue::TrimSlab);
   // returns chunks released. A maintenance call, not a hot-path one.
-  size_t TrimSlabStorage() { return queue_->TrimSlab(); }
+  size_t TrimSlabStorage() { return queue_.TrimSlab(); }
 
   // X = measurement ticks per backup-interrupt period.
   uint64_t ticks_per_backup_interval() const;
@@ -264,7 +263,7 @@ class SoftTimerFacility {
     uint32_t slab_live = 0;
   };
   const Stats& stats() const {
-    TimerSlabStats slab = queue_->slab_stats();
+    TimerSlabStats slab = queue_.slab_stats();
     stats_.slab_capacity = slab.capacity;
     stats_.slab_live = slab.live;
     return stats_;
@@ -319,7 +318,7 @@ class SoftTimerFacility {
 
   const ClockSource* clock_;
   Config config_;
-  std::unique_ptr<TimerQueue> queue_;
+  HeapTimerQueue queue_;
   std::unique_ptr<DegradationPolicy> policy_;
   std::function<void(const FireInfo&)> dispatch_observer_;
   std::function<void()> schedule_observer_;

@@ -14,7 +14,6 @@ Kernel::Kernel(Simulator* sim, Config config)
 
   SoftTimerFacility::Config fc;
   fc.interrupt_clock_hz = config_.interrupt_clock_hz;
-  fc.queue_kind = config_.queue_kind;
   fc.degradation = config_.degradation;
   const ClockSource* measure_clock =
       config_.measure_clock_override ? config_.measure_clock_override : &clock_;

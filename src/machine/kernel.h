@@ -51,7 +51,6 @@ class Kernel {
     uint64_t measure_hz = 1'000'000;
     // Backup periodic interrupt (the paper's typical value is 1 kHz).
     uint64_t interrupt_clock_hz = 1'000;
-    TimerQueueKind queue_kind = TimerQueueKind::kHeap;
     // Graceful-degradation policy for the facility (disabled by default).
     // When enabled, the kernel additionally escalates its backup-interrupt
     // rate to the policy's multiplier and enforces the handler budget by

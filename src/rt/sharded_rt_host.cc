@@ -23,7 +23,6 @@ ShardedRtHost::ShardedRtHost(Config config)
   rc.max_producers = config_.max_producers;
   rc.ring_capacity = config_.ring_capacity;
   rc.facility.interrupt_clock_hz = config_.interrupt_clock_hz;
-  rc.facility.queue_kind = config_.queue_kind;
   runtime_ = std::make_unique<ShardedSoftTimerRuntime>(&clock_, rc);
   runtime_->set_wake_hook(&ShardedRtHost::WakeShard, this);
   loops_.reserve(config_.num_shards);

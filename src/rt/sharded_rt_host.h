@@ -113,7 +113,6 @@ class ShardedRtHost {
     size_t num_shards = 2;
     uint64_t measure_hz = 1'000'000;
     uint64_t interrupt_clock_hz = 1'000;  // backup bound: 1 ms
-    TimerQueueKind queue_kind = TimerQueueKind::kHeap;
     IdleStrategy idle_strategy = IdleStrategy::kSleep;
     size_t max_producers = 8;
     size_t ring_capacity = 1024;

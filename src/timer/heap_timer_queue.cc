@@ -53,6 +53,25 @@ bool HeapTimerQueue::Cancel(TimerId id) {
   return true;
 }
 
+// Update: cancel+reschedule with the payload carried across on the stack.
+// MutablePayload gates out stale ids, so the Cancel below can only fail if
+// the id went stale between the two calls - impossible under the
+// single-threaded queue contract, but restore-and-bail keeps the operation
+// self-contained.
+// SOFTTIMER_HOT
+TimerId HeapTimerQueue::Update(TimerId id, uint64_t new_deadline_tick) {
+  TimerPayload* payload = MutablePayload(id);
+  if (payload == nullptr) {
+    return TimerId{};
+  }
+  TimerPayload moved = std::move(*payload);
+  if (!Cancel(id)) {
+    *payload = std::move(moved);
+    return TimerId{};
+  }
+  return Schedule(new_deadline_tick, std::move(moved));
+}
+
 void HeapTimerQueue::Compact() const {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const HeapEntry& e) { return !EntryCurrent(e); }),

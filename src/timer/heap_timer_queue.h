@@ -1,19 +1,48 @@
-// Binary-heap TimerQueue. O(log n) schedule, O(1) earliest-deadline,
-// lazy-deletion cancel. Every host's default queue (DESIGN.md section 13
-// has the measurements that chose it).
+// HeapTimerQueue: the timer data structure under the soft-timer facility.
+// A binary heap: O(log n) schedule, O(1) earliest-deadline, lazy-deletion
+// cancel. It is the one queue; the facility holds it by value, so schedule,
+// cancel, re-arm and expiry are direct calls (DESIGN.md section 13 has the
+// measurements that retired the timing wheels and the callout list).
 //
-// Payloads live in slab-recycled nodes (timer_slab.h); the heap itself holds
-// only {deadline, seq, slot, generation} entries, so a cancelled timer's
-// entry goes stale (its generation no longer matches the slot) and is
-// skimmed lazily at the top. When stale entries outnumber live ones the heap
-// compacts in place (remove_if + make_heap, no allocation), so a
-// schedule/cancel-only workload cannot grow the vector unboundedly.
+// The queue deals in abstract unsigned "ticks" (the facility maps its
+// measurement clock onto ticks). Deadlines are absolute tick values.
+//
+// Payloads (timer_queue.h) live in slab-recycled nodes (timer_slab.h); the
+// heap itself holds only {deadline, seq, slot, generation} entries, so a
+// cancelled timer's entry goes stale (its generation no longer matches the
+// slot) and is skimmed lazily at the top. When stale entries outnumber live
+// ones the heap compacts in place (remove_if + make_heap, no allocation),
+// so a schedule/cancel-only workload cannot grow the vector unboundedly.
 // Steady-state schedule/cancel/fire performs zero heap allocations once the
 // slab and the heap vector reach the workload's high-water mark.
+//
+// Semantics (pinned by tests/timer_queue_conformance_test.cc):
+//
+//  * ExpireUpTo(now) fires every pending timer with deadline <= now, in
+//    (deadline, schedule-order) order.
+//  * A timer scheduled with a deadline that is already in the past fires on
+//    the next ExpireUpTo call.
+//  * A callback may schedule or cancel timers; a timer scheduled from inside
+//    a callback with an already-due deadline clamps to one tick past the
+//    current ExpireUpTo time and fires on the next ExpireUpTo call that
+//    reaches it.
+//  * Cancel returns true exactly once per scheduled timer that has neither
+//    fired nor been cancelled; stale ids (fired, cancelled, or recycled
+//    slots) return false.
+//  * Update(id, new_deadline) atomically moves a live timer to a new
+//    deadline, preserving its payload, and returns the id that names the
+//    timer afterwards (an invalid id for stale/fired/cancelled inputs).
+//    Observably it is cancel+reschedule: the moved timer fires at the new
+//    deadline in fresh schedule order, past deadlines clamp like Schedule.
 
 #ifndef SOFTTIMER_SRC_TIMER_HEAP_TIMER_QUEUE_H_
 #define SOFTTIMER_SRC_TIMER_HEAP_TIMER_QUEUE_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/timer/timer_queue.h"
@@ -21,35 +50,82 @@
 
 namespace softtimer {
 
-class HeapTimerQueue : public TimerQueue {
+class HeapTimerQueue {
  public:
-  HeapTimerQueue() = default;
+  // Schedules `payload` to fire once `ExpireUpTo(now)` is called with
+  // now >= deadline_tick. The payload (including its handler slot) is moved
+  // into slab node storage: no heap allocation in steady state.
+  TimerId Schedule(uint64_t deadline_tick, TimerPayload payload);
 
-  using TimerQueue::Schedule;
-  TimerId Schedule(uint64_t deadline_tick, TimerPayload payload) override;
-  bool Cancel(TimerId id) override;
-  size_t ExpireUpTo(uint64_t now_tick) override;
-  std::optional<uint64_t> EarliestDeadline() const override;
-  size_t size() const override { return live_count_; }
-  TimerSlabStats slab_stats() const override { return slab_.stats(); }
-  // Lazily-deleted heap entries may reference freed slots, so compact (drop
-  // every stale entry) before releasing chunks out from under them.
-  size_t TrimSlab() override {
-    Compact();
-    return slab_.Trim();
+  // Convenience for plain no-argument callbacks (tests, benches, non-
+  // facility users): wraps `cb` into a payload handler slot.
+  template <typename F, typename = std::enable_if_t<std::is_invocable_v<F&>>>
+  TimerId Schedule(uint64_t deadline_tick, F cb) {
+    TimerPayload payload;
+    payload.handler.emplace(CallbackThunk<std::decay_t<F>>{std::move(cb)});
+    return Schedule(deadline_tick, std::move(payload));
   }
-  uint64_t PeekUserData(TimerId id) const override {
-    return slab_.IsCurrent(id.value)
-               ? slab_.at(TimerIdIndex(id.value)).payload.user_data
-               : 0;
-  }
-  TimerPayload* MutablePayload(TimerId id) override {
+
+  // Cancels a pending timer. Returns false if it already fired, was already
+  // cancelled, or the id is stale (its slab slot was recycled).
+  bool Cancel(TimerId id);
+
+  // Moves a live timer to `new_deadline_tick`, preserving its payload, and
+  // returns the id naming the timer afterwards; an invalid id if `id` is
+  // stale/fired/cancelled (the reused slot, if any, is left untouched).
+  // An allocation-free cancel+reschedule: the returned id carries a fresh
+  // generation.
+  TimerId Update(TimerId id, uint64_t new_deadline_tick);
+
+  // The live timer's payload for in-place metadata edits, or nullptr for
+  // stale/fired/cancelled ids. Callers must not touch the handler slot of a
+  // node that is being fired.
+  TimerPayload* MutablePayload(TimerId id) {
     return slab_.IsCurrent(id.value)
                ? &slab_.at(TimerIdIndex(id.value)).payload
                : nullptr;
   }
 
+  // The pending timer's payload user_data, or 0 for stale/fired/cancelled
+  // ids. The facility's cancel path reads this before Cancel destroys the
+  // payload, so a cancelled event's cookie can still be retired.
+  uint64_t PeekUserData(TimerId id) const {
+    return slab_.IsCurrent(id.value)
+               ? slab_.at(TimerIdIndex(id.value)).payload.user_data
+               : 0;
+  }
+
+  // Fires all timers with deadline <= now_tick; returns how many fired.
+  size_t ExpireUpTo(uint64_t now_tick);
+
+  // Exact earliest pending deadline, or nullopt when empty.
+  std::optional<uint64_t> EarliestDeadline() const;
+
+  // Number of pending timers.
+  size_t size() const { return live_count_; }
+  bool empty() const { return live_count_ == 0; }
+
+  // Capacity/occupancy of the backing node slab (timer_slab.h).
+  TimerSlabStats slab_stats() const { return slab_.stats(); }
+
+  // Releases fully-free slab chunks back to the allocator (the slab
+  // otherwise grows to the high-water mark and stays there). Returns the
+  // number of chunks released. Outstanding stale TimerIds stay safely
+  // rejectable afterwards. Lazily-deleted heap entries may reference freed
+  // slots, so this compacts (drops every stale entry) before releasing
+  // chunks out from under them.
+  size_t TrimSlab() {
+    Compact();
+    return slab_.Trim();
+  }
+
  private:
+  template <typename F>
+  struct CallbackThunk {
+    F fn;
+    void operator()(const TimerFired&) { fn(); }
+  };
+
   struct Node {
     TimerPayload payload;
     uint64_t deadline = 0;

@@ -1,17 +1,16 @@
-// TimerQueue: the data-structure interface under the soft-timer facility.
+// Timer-queue node types: what a scheduled soft timer is made of.
 //
 // The paper maintains scheduled soft-timer events in "a modified form of
-// timing wheels [Varghese & Lauck]". This library provides two
-// interchangeable implementations behind one interface (its hashed timing
-// wheel lost to the heap on every composed workload; DESIGN.md section 13):
+// timing wheels [Varghese & Lauck]". This library keeps them in one binary
+// heap, HeapTimerQueue (heap_timer_queue.h); DESIGN.md section 13 has the
+// measurements that retired the timing wheels and the sorted callout list.
+// This header holds only the node types the heap stores and fires:
 //
-//   HeapTimerQueue           - binary heap; every host's default and the
-//                              oracle of the differential tests.
-//   CalloutListTimerQueue    - sorted list; the 4.3BSD callout structure
-//                              timing wheels were invented to replace.
-//
-// Both deal in abstract unsigned "ticks" (the facility maps its
-// measurement clock onto ticks). Deadlines are absolute tick values.
+//   TimerId           generation-counted handle of one scheduled timer.
+//   TimerPayload      the typed node contents: POD bookkeeping plus a
+//                     small-buffer handler slot.
+//   TimerHandlerSlot  move-only callable of signature void(const TimerFired&).
+//   TimerFired        what a handler sees when its node fires.
 //
 // Hot-path design: a scheduled timer is a typed node, not a heap-allocated
 // closure. The caller hands the queue a POD-ish TimerPayload whose handler
@@ -20,26 +19,6 @@
 // in place. Steady-state schedule / cancel / fire performs zero heap
 // allocations. TimerIds are generation-counted, so a stale id whose slab
 // slot was recycled is rejected rather than cancelling a stranger.
-//
-// Semantics shared by all implementations (enforced by the conformance suite
-// in tests/timer_queue_conformance_test.cc):
-//
-//  * ExpireUpTo(now) fires every pending timer with deadline <= now, in
-//    (deadline, schedule-order) order.
-//  * A timer scheduled with a deadline that is already in the past fires on
-//    the next ExpireUpTo call.
-//  * A callback may schedule or cancel timers; a timer scheduled from inside
-//    a callback with an already-due deadline clamps to one tick past the
-//    current ExpireUpTo time and fires on the next ExpireUpTo call that
-//    reaches it.
-//  * Cancel returns true exactly once per scheduled timer that has neither
-//    fired nor been cancelled; stale ids (fired, cancelled, or recycled
-//    slots) return false.
-//  * Update(id, new_deadline) atomically moves a live timer to a new
-//    deadline, preserving its payload, and returns the id that names the
-//    timer afterwards (an invalid id for stale/fired/cancelled inputs).
-//    Observably it is cancel+reschedule: the moved timer fires at the new
-//    deadline in fresh schedule order, past deadlines clamp like Schedule.
 
 #ifndef SOFTTIMER_SRC_TIMER_TIMER_QUEUE_H_
 #define SOFTTIMER_SRC_TIMER_TIMER_QUEUE_H_
@@ -48,11 +27,8 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
-
-#include "src/timer/timer_slab.h"
 
 namespace softtimer {
 
@@ -171,85 +147,6 @@ struct TimerPayload {
   uint32_t tag = 0;             // caller-chosen handler class
   TimerHandlerSlot handler;
 };
-
-class TimerQueue {
- public:
-  virtual ~TimerQueue() = default;
-
-  // Schedules `payload` to fire once `ExpireUpTo(now)` is called with
-  // now >= deadline_tick. The payload (including its handler slot) is moved
-  // into slab node storage: no heap allocation in steady state.
-  virtual TimerId Schedule(uint64_t deadline_tick, TimerPayload payload) = 0;
-
-  // Convenience for plain no-argument callbacks (tests, benches, non-
-  // facility users): wraps `cb` into a payload handler slot.
-  template <typename F, typename = std::enable_if_t<std::is_invocable_v<F&>>>
-  TimerId Schedule(uint64_t deadline_tick, F cb) {
-    TimerPayload payload;
-    payload.handler.emplace(CallbackThunk<std::decay_t<F>>{std::move(cb)});
-    return Schedule(deadline_tick, std::move(payload));
-  }
-
-  // Cancels a pending timer. Returns false if it already fired, was already
-  // cancelled, or the id is stale (its slab slot was recycled).
-  virtual bool Cancel(TimerId id) = 0;
-
-  // Moves a live timer to `new_deadline_tick`, preserving its payload, and
-  // returns the id naming the timer afterwards; an invalid id if `id` is
-  // stale/fired/cancelled (the reused slot, if any, is left untouched).
-  // An allocation-free cancel+reschedule: the returned id carries a fresh
-  // generation.
-  TimerId Update(TimerId id, uint64_t new_deadline_tick);
-
-  // The live timer's payload for in-place metadata edits, or nullptr for
-  // stale/fired/cancelled ids. Callers must not touch the handler slot of a
-  // node that is being fired.
-  virtual TimerPayload* MutablePayload(TimerId id) = 0;
-
-  // The pending timer's payload user_data, or 0 for stale/fired/cancelled
-  // ids. The facility's cancel path reads this before Cancel destroys the
-  // payload, so a cancelled event's cookie can still be retired.
-  virtual uint64_t PeekUserData(TimerId id) const = 0;
-
-  // Fires all timers with deadline <= now_tick; returns how many fired.
-  virtual size_t ExpireUpTo(uint64_t now_tick) = 0;
-
-  // Exact earliest pending deadline, or nullopt when empty.
-  virtual std::optional<uint64_t> EarliestDeadline() const = 0;
-
-  // Number of pending timers.
-  virtual size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-
-  // Capacity/occupancy of the backing node slab (timer_slab.h).
-  virtual TimerSlabStats slab_stats() const = 0;
-
-  // Releases fully-free slab chunks back to the allocator (the slab
-  // otherwise grows to the high-water mark and stays there). Returns the
-  // number of chunks released. Outstanding stale TimerIds stay safely
-  // rejectable afterwards.
-  virtual size_t TrimSlab() = 0;
-
- private:
-  template <typename F>
-  struct CallbackThunk {
-    F fn;
-    void operator()(const TimerFired&) { fn(); }
-  };
-};
-
-// Factory selector used by SoftTimerFacility config. The values are pinned:
-// gtest prints a parameter's bytes into each parameterized test's name, so a
-// kind keeps its value when another kind is deleted (1 was the hashed timing
-// wheel, 2 the hierarchical one).
-enum class TimerQueueKind {
-  kHeap = 0,
-  kCalloutList = 3,
-};
-
-std::unique_ptr<TimerQueue> MakeTimerQueue(TimerQueueKind kind);
-
-const char* TimerQueueKindName(TimerQueueKind kind);
 
 }  // namespace softtimer
 

@@ -1,5 +1,5 @@
-// TimerSlab: chunked slab/free-list node storage shared by the TimerQueue
-// implementations, plus the packed generation-counted TimerId encoding.
+// TimerSlab: chunked slab/free-list node storage under HeapTimerQueue and
+// the pacing wheel, plus the packed generation-counted TimerId encoding.
 //
 // Why a slab: the scheduling hot path must not touch the allocator. Nodes
 // are recycled through an intrusive free list, so steady-state schedule /
@@ -87,16 +87,15 @@ inline constexpr uint32_t NextTimerGeneration(uint32_t generation) {
   return next == 0 ? 1 : next;
 }
 
-// Node lifecycle states shared by the queue implementations and the pacing
-// wheel.
+// Node lifecycle states shared by the timer queue and the pacing wheel.
 enum class TimerNodeState : uint8_t {
   kFree = 0,
   kPending,
   kCancelledDue,  // cancelled while sitting in an expiry batch
 };
 
-// Capacity/occupancy snapshot (surfaced through TimerQueue::slab_stats and
-// facility Stats).
+// Capacity/occupancy snapshot (surfaced through HeapTimerQueue::slab_stats
+// and facility Stats).
 struct TimerSlabStats {
   uint32_t capacity = 0;        // slots currently backed by storage
   uint32_t live = 0;            // allocated (non-free) nodes
@@ -174,8 +173,8 @@ class TimerSlab {
   // re-materialized chunk resumes at a generation floor past everything the
   // old chunk issued. Callers must ensure no *internal* references (bucket
   // links, heap entries) point into fully-free chunks before trimming - true
-  // by construction for the intrusive-list backends, and after Compact() for
-  // the lazy-deletion heap.
+  // for the pacing wheel, whose slot vectors drop a node before freeing it,
+  // and after Compact() for the lazy-deletion heap.
   size_t Trim() {
     size_t released = 0;
     for (size_t c = 0; c < chunks_.size(); ++c) {

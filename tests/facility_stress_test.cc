@@ -1,7 +1,7 @@
-// Randomized stress/property tests for SoftTimerFacility across all timer
-// backends: exactly-once dispatch, no lost or duplicated events under mixed
-// schedule/cancel churn, monotone fire ticks, and correct behaviour when
-// handlers schedule and cancel their peers.
+// Randomized stress/property tests for SoftTimerFacility: exactly-once
+// dispatch, no lost or duplicated events under mixed schedule/cancel churn,
+// monotone fire ticks, and correct behaviour when handlers schedule and
+// cancel their peers.
 
 #include <gtest/gtest.h>
 
@@ -12,18 +12,17 @@
 #include "src/core/soft_timer_facility.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "tests/queue_row.h"
 
 namespace softtimer {
 namespace {
 
-class FacilityStress : public ::testing::TestWithParam<TimerQueueKind> {};
+class FacilityStress : public ::testing::TestWithParam<QueueRow> {};
 
 TEST_P(FacilityStress, ExactlyOnceDispatchUnderChurn) {
   Simulator sim;
   SimClockSource clock(&sim, 1'000'000);
-  SoftTimerFacility::Config cfg;
-  cfg.queue_kind = GetParam();
-  SoftTimerFacility facility(&clock, cfg);
+  SoftTimerFacility facility(&clock, SoftTimerFacility::Config{});
   Rng rng(2024);
 
   std::set<uint64_t> expected;   // keys that must eventually fire
@@ -74,9 +73,7 @@ TEST_P(FacilityStress, ExactlyOnceDispatchUnderChurn) {
 TEST_P(FacilityStress, HandlersSchedulingAndCancellingPeers) {
   Simulator sim;
   SimClockSource clock(&sim, 1'000'000);
-  SoftTimerFacility::Config cfg;
-  cfg.queue_kind = GetParam();
-  SoftTimerFacility facility(&clock, cfg);
+  SoftTimerFacility facility(&clock, SoftTimerFacility::Config{});
   Rng rng(7);
 
   int fires = 0;
@@ -106,17 +103,9 @@ TEST_P(FacilityStress, HandlersSchedulingAndCancellingPeers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FacilityStress,
-                         ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kCalloutList),
-                         [](const ::testing::TestParamInfo<TimerQueueKind>& info) {
-                           std::string n = TimerQueueKindName(info.param);
-                           std::string out;
-                           for (char c : n) {
-                             if (c != '-') {
-                               out += c;
-                             }
-                           }
-                           return out;
+                         ::testing::Values(QueueRow::kHeap),
+                         [](const ::testing::TestParamInfo<QueueRow>&) {
+                           return "heap";
                          });
 
 }  // namespace

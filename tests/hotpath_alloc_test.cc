@@ -20,21 +20,16 @@
 #include "src/pacing/pacing_wheel.h"
 #include "src/pacing/pacing_wheel_host.h"
 #include "src/sim/simulator.h"
+#include "tests/queue_row.h"
 
 namespace softtimer {
 namespace {
 
-class HotpathAllocTest : public ::testing::TestWithParam<TimerQueueKind> {
+class HotpathAllocTest : public ::testing::TestWithParam<QueueRow> {
  protected:
   HotpathAllocTest()
       : clock_(&sim_, 1'000'000),
-        facility_(&clock_, MakeConfig(GetParam())) {}
-
-  static SoftTimerFacility::Config MakeConfig(TimerQueueKind kind) {
-    SoftTimerFacility::Config config;
-    config.queue_kind = kind;
-    return config;
-  }
+        facility_(&clock_, SoftTimerFacility::Config{}) {}
 
   Simulator sim_;
   SimClockSource clock_;
@@ -56,9 +51,9 @@ TEST_P(HotpathAllocTest, SteadyStateScheduleCancelAllocatesNothing) {
       EXPECT_TRUE(facility_.CancelSoftEvent(id));
     }
   };
-  // Warmup: grows the slab and (for the heap backend) the entry vector to
-  // their high-water marks. Two rounds, because lazy deletion can carry a
-  // few stale entries into the next round, nudging the peak size up once.
+  // Warmup: grows the slab and the heap's entry vector to their high-water
+  // marks. Two rounds, because lazy deletion can carry a few stale entries
+  // into the next round, nudging the peak size up once.
   round();
   round();
   uint64_t start = AllocProbeAllocCount();
@@ -143,20 +138,14 @@ class NullSink : public PacingWheel::BatchSink {
   uint64_t packets = 0;
 };
 
-class PacingWheelAllocTest : public ::testing::TestWithParam<TimerQueueKind> {
+class PacingWheelAllocTest : public ::testing::TestWithParam<QueueRow> {
  protected:
   PacingWheelAllocTest()
       : clock_(&sim_, 1'000'000),
-        facility_(&clock_, MakeConfig(GetParam())),
+        facility_(&clock_, SoftTimerFacility::Config{}),
         wheel_(MakeWheel()),
         host_(&facility_, &wheel_) {
     host_.set_sink(&sink_);
-  }
-
-  static SoftTimerFacility::Config MakeConfig(TimerQueueKind kind) {
-    SoftTimerFacility::Config config;
-    config.queue_kind = kind;
-    return config;
   }
 
   static PacingWheel::Config MakeWheel() {
@@ -286,23 +275,15 @@ TEST(MultiQueuePollerAllocTest, ClaimAndPollPathAllocatesNothing) {
   EXPECT_EQ(poller.total_packets(), 3 * drains);
 }
 
-std::string KindName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
-  switch (info.param) {
-    case TimerQueueKind::kHeap: return "Heap";
-    case TimerQueueKind::kCalloutList: return "CalloutList";
-  }
-  return "Unknown";
+std::string RowName(const ::testing::TestParamInfo<QueueRow>&) {
+  return "Heap";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllQueueKinds, PacingWheelAllocTest,
-    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kCalloutList),
-    KindName);
+INSTANTIATE_TEST_SUITE_P(AllQueueKinds, PacingWheelAllocTest,
+                         ::testing::Values(QueueRow::kHeap), RowName);
 
-INSTANTIATE_TEST_SUITE_P(
-    AllQueueKinds, HotpathAllocTest,
-    ::testing::Values(TimerQueueKind::kHeap, TimerQueueKind::kCalloutList),
-    KindName);
+INSTANTIATE_TEST_SUITE_P(AllQueueKinds, HotpathAllocTest,
+                         ::testing::Values(QueueRow::kHeap), RowName);
 
 }  // namespace
 }  // namespace softtimer

@@ -196,7 +196,14 @@ TEST(MultiQueuePollerTest, ThreadsNeverOverlapAndConservePackets) {
   }
   std::atomic<uint64_t> tick{1};
   std::atomic<bool> stop{false};
+  std::atomic<size_t> cores_running{0};
   std::thread producer([&] {
+    // Start producing only once every core polls: where threads start
+    // slowly (TSan), the producer could otherwise finish all 200k packets
+    // and stop the run before some core made its first poll.
+    while (cores_running.load() < kCores) {
+      std::this_thread::yield();
+    }
     uint64_t produced = 0;
     while (!stop.load(std::memory_order_relaxed) && produced < 200'000) {
       for (auto& q : queues) {
@@ -211,6 +218,7 @@ TEST(MultiQueuePollerTest, ThreadsNeverOverlapAndConservePackets) {
   std::vector<std::thread> cores;
   for (size_t c = 0; c < kCores; ++c) {
     cores.emplace_back([&, c] {
+      cores_running.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
         if (poller.PollOnce(static_cast<uint32_t>(c),
                             tick.load(std::memory_order_relaxed)) == 0) {

@@ -79,6 +79,7 @@ TEST(PollGovernorTest, RatioOfSumsHandlesBurstyArrivals) {
     size_t found = (i % 8 == 7) ? 8 : 0;
     interval = g.OnPoll(found, 125);  // elapsed fixed: rate = 1/125 per tick
   }
+  EXPECT_EQ(interval, g.current_interval_ticks());
   EXPECT_NEAR(g.rate_estimate(), 1.0 / 125.0, 0.25 / 125.0);
 }
 

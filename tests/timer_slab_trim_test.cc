@@ -1,6 +1,7 @@
 // TimerSlab Trim(): releasing fully-free chunks must shrink capacity, keep
 // live timers untouched, and preserve generation/ABA safety for stale
-// TimerIds across a release / re-materialize cycle - on every queue backend.
+// TimerIds across a release / re-materialize cycle - through the timer
+// queue and through the facility that holds it.
 
 #include <gtest/gtest.h>
 
@@ -8,15 +9,18 @@
 #include <vector>
 
 #include "src/core/soft_timer_facility.h"
-#include "src/timer/timer_queue.h"
+#include "src/timer/heap_timer_queue.h"
 #include "src/timer/timer_slab.h"
+#include "tests/queue_row.h"
 
 namespace softtimer {
 namespace {
 
-class SlabTrimTest : public ::testing::TestWithParam<TimerQueueKind> {
+class SlabTrimTest : public ::testing::TestWithParam<QueueRow> {
  protected:
-  std::unique_ptr<TimerQueue> MakeQueue() { return MakeTimerQueue(GetParam()); }
+  std::unique_ptr<HeapTimerQueue> MakeQueue() {
+    return std::make_unique<HeapTimerQueue>();
+  }
 };
 
 constexpr uint32_t kChunk = 256;  // TimerSlab chunk size
@@ -94,7 +98,6 @@ TEST_P(SlabTrimTest, StaleIdStaysStaleAcrossRematerialize) {
 
 TEST_P(SlabTrimTest, FacilityExposesSlabOccupancyAndTrim) {
   SoftTimerFacility::Config cfg;
-  cfg.queue_kind = GetParam();
   // A fixed manual clock is unnecessary: we never advance time.
   class ZeroClock : public ClockSource {
    public:
@@ -118,20 +121,11 @@ TEST_P(SlabTrimTest, FacilityExposesSlabOccupancyAndTrim) {
   EXPECT_LT(facility.stats().slab_capacity, 2 * kChunk);
 }
 
-std::string KindTestName(const ::testing::TestParamInfo<TimerQueueKind>& info) {
-  switch (info.param) {
-    case TimerQueueKind::kHeap:
-      return "Heap";
-    case TimerQueueKind::kCalloutList:
-      return "CalloutList";
-  }
-  return "Unknown";
-}
-
 INSTANTIATE_TEST_SUITE_P(AllBackends, SlabTrimTest,
-                         ::testing::Values(TimerQueueKind::kHeap,
-                                           TimerQueueKind::kCalloutList),
-                         KindTestName);
+                         ::testing::Values(QueueRow::kHeap),
+                         [](const ::testing::TestParamInfo<QueueRow>&) {
+                           return "Heap";
+                         });
 
 }  // namespace
 }  // namespace softtimer

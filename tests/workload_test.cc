@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/stats/sample_set.h"
 #include "src/workload/trigger_workload.h"
 
@@ -16,6 +18,14 @@ struct Expect {
   double mean_lo, mean_hi;
   double median_lo, median_hi;
 };
+
+// gtest prints a parameter into its ctest name; without this it would dump
+// the struct's raw bytes, padding after `kind` included, and two builds
+// could name the same test differently.
+void PrintTo(const Expect& e, std::ostream* os) {
+  *os << WorkloadKindName(e.kind) << " mean " << e.mean_lo << " to "
+      << e.mean_hi << " median " << e.median_lo << " to " << e.median_hi;
+}
 
 class WorkloadDistribution : public ::testing::TestWithParam<Expect> {};
 
