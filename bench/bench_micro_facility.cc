@@ -126,8 +126,8 @@ struct HotpathSample {
   OpSample burst_dispatch_read_every_event;
   OpSample burst_dispatch_amortized_reads;
   // Re-arm churn over a pool of live events (the RTO-restart shape):
-  // `update` is RescheduleSoftEvent (the queue's cancel+reschedule, which
-  // keeps the handler); `update_emulated` is the CancelSoftEvent+
+  // `update` is RescheduleSoftEvent (the queue moves the live node in place,
+  // keeping its handler and id); `update_emulated` is the CancelSoftEvent+
   // ScheduleSoftEvent pair every pre-update caller had to write.
   OpSample update;
   OpSample update_emulated;
@@ -257,7 +257,7 @@ HotpathSample MeasureHotpath(size_t iters) {
       size_t slot = i % kPool;
       uint64_t delta = 1'000'000 + ((i * 7) & 4095);
       if (reschedule) {
-        ids[slot] = env.facility.RescheduleSoftEvent(ids[slot], delta);
+        env.facility.RescheduleSoftEvent(ids[slot], delta);
       } else {
         env.facility.CancelSoftEvent(ids[slot]);
         ids[slot] = env.facility.ScheduleSoftEvent(

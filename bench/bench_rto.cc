@@ -752,7 +752,7 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
         "(CLOCK_THREAD_CPUTIME_ID) over schedule+cancel ops (best of 3 "
         "rounds), allocs from the operator-new probe (worst of 3). rearm: "
         "4-segment windows under partial ACKs, every ACK restarts the 3 "
-        "survivors (RFC 6298 5.3) on the default backend, cost normalized "
+        "survivors (RFC 6298 5.3) in place on the heap, cost normalized "
         "per survivor restart. loss: "
         "FaultInjector plan (2%% data, 1%% ACK, burst=conns/100), lateness "
         "from the engine fire probe against a 128-tick trigger cadence. "
@@ -774,7 +774,7 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
         churn.conserved ? "true" : "false");
     std::fprintf(
         f,
-        "  \"rearm_emulated\": {\"conns\": %zu, \"queue\": \"%s\", "
+        "  \"rearm\": {\"conns\": %zu, \"queue\": \"%s\", "
         "\"reschedules_per_round\": %" PRIu64 ", \"cpu_ns\": %" PRIu64
         ", \"ns_per_reschedule\": %.2f, \"allocs_per_op\": %.6f, "
         "\"timers_rescheduled\": %" PRIu64 ", \"timers_fired\": %" PRIu64

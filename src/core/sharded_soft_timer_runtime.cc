@@ -116,11 +116,6 @@ ShardedSoftTimerRuntime::ShardedSoftTimerRuntime(const ClockSource* clock,
   assert(clock_ != nullptr);
   assert(config_.num_shards >= 1 && config_.num_shards <= kTimerIdMaxShards);
   assert(config_.max_producers >= 1 && config_.max_producers <= 256);
-  // The runtime depends on the no-policy fast gate and on the payload
-  // cookie field, which policy mode repurposes for deferral remaps.
-  assert(!config_.facility.degradation.enabled &&
-         "sharded runtime requires policy-free shards");
-  config_.facility.degradation.enabled = false;
   shards_.reserve(config_.num_shards);
   for (size_t i = 0; i < config_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -166,11 +161,10 @@ bool ShardedSoftTimerRuntime::CancelOnShard(size_t shard, SoftEventId id) {
 }
 
 // SOFTTIMER_HOT
-SoftEventId ShardedSoftTimerRuntime::RescheduleOnShard(size_t shard,
-                                                       SoftEventId id,
-                                                       uint64_t delta_ticks) {
+bool ShardedSoftTimerRuntime::RescheduleOnShard(size_t shard, SoftEventId id,
+                                                uint64_t delta_ticks) {
   if (!id.valid() || TimerIdShard(id.value) != shard) {
-    return SoftEventId{};
+    return false;
   }
   return ApplyReschedule(*shards_[shard], id.value, delta_ticks);
 }
@@ -212,15 +206,17 @@ size_t ShardedSoftTimerRuntime::DrainRemote(size_t shard) {
 }
 
 void ShardedSoftTimerRuntime::ApplyCommand(Shard& shard, Command&& cmd) {
+  // Re-anchors a schedule's or an update's delay at the enqueue tick, so
+  // time spent in the ring counts against T instead of stretching it.
+  auto remaining_ticks = [&shard, &cmd] {
+    uint64_t now = shard.facility->MeasureTime();
+    uint64_t due = cmd.enqueue_tick + cmd.delta_ticks;
+    return due > now ? due - now : 0;
+  };
   switch (cmd.op) {
     case Command::Op::kSchedule: {
-      // Re-anchor the delay at the enqueue tick so time spent in the ring
-      // counts against T instead of stretching it.
-      uint64_t now = shard.facility->MeasureTime();
-      uint64_t due = cmd.enqueue_tick + cmd.delta_ticks;
-      uint64_t remaining = due > now ? due - now : 0;
       SoftEventId local = shard.facility->ScheduleSoftEventWithCookie(
-          remaining, std::move(cmd.handler), cmd.tag, cmd.id);
+          remaining_ticks(), std::move(cmd.handler), cmd.tag, cmd.id);
       shard.remote_ids.Insert(cmd.id, local.value);
       ++shard.stats.remote_scheduled;
       break;
@@ -232,66 +228,40 @@ void ShardedSoftTimerRuntime::ApplyCommand(Shard& shard, Command&& cmd) {
         ++shard.stats.remote_cancel_misses;
       }
       break;
-    case Command::Op::kUpdate: {
-      // Re-anchor the delay at the enqueue tick, like a schedule command:
-      // time spent in the ring counts against T instead of stretching it.
-      uint64_t now = shard.facility->MeasureTime();
-      uint64_t due = cmd.enqueue_tick + cmd.delta_ticks;
-      uint64_t remaining = due > now ? due - now : 0;
-      if (ApplyReschedule(shard, cmd.id, remaining).valid()) {
+    case Command::Op::kUpdate:
+      if (ApplyReschedule(shard, cmd.id, remaining_ticks())) {
         ++shard.stats.remote_rescheduled;
       } else {
         ++shard.stats.remote_reschedule_misses;
       }
       break;
-    }
     case Command::Op::kNone:
       break;
   }
 }
 
+uint64_t ShardedSoftTimerRuntime::LocalId(const Shard& shard,
+                                          uint64_t id_value) {
+  // A remote id maps through the table: 0 (never a live facility id) when
+  // the event fired, was cancelled, or its schedule has not drained yet.
+  return IsRemoteTimerId(id_value) ? shard.remote_ids.Find(id_value)
+                                   : StripTimerIdShard(id_value);
+}
+
 bool ShardedSoftTimerRuntime::ApplyCancel(Shard& shard, uint64_t id_value) {
-  if (IsRemoteTimerId(id_value)) {
-    uint64_t local = shard.remote_ids.Find(id_value);
-    if (local == 0) {
-      return false;  // fired/cancelled already, or not yet drained
-    }
-    // The facility's retire hook erases the table entry when the cancel
-    // lands, the same way a dispatch does - a live entry always maps to a
-    // live event, so no explicit Erase here.
-    return shard.facility->CancelSoftEvent(SoftEventId{local});
-  }
-  return shard.facility->CancelSoftEvent(
-      SoftEventId{StripTimerIdShard(id_value)});
+  // The facility's retire hook erases a remote id's table entry when the
+  // cancel lands, the same way a dispatch does - a live entry always maps
+  // to a live event, so no explicit Erase here.
+  return shard.facility->CancelSoftEvent(SoftEventId{LocalId(shard, id_value)});
 }
 
 // SOFTTIMER_HOT
-SoftEventId ShardedSoftTimerRuntime::ApplyReschedule(Shard& shard,
-                                                     uint64_t id_value,
-                                                     uint64_t delta_ticks) {
-  if (IsRemoteTimerId(id_value)) {
-    uint64_t local = shard.remote_ids.Find(id_value);
-    if (local == 0) {
-      return SoftEventId{};  // fired/cancelled already, or not yet drained
-    }
-    SoftEventId moved =
-        shard.facility->RescheduleSoftEvent(SoftEventId{local}, delta_ticks);
-    if (!moved.valid()) {
-      return SoftEventId{};
-    }
-    // The event stayed alive (a reschedule never fires the retire hook), so
-    // rebind the remote key to its renamed slab id; the caller's remote
-    // handle keeps working unchanged.
-    shard.remote_ids.Insert(id_value, moved.value);
-    return SoftEventId{id_value};
-  }
-  SoftEventId moved = shard.facility->RescheduleSoftEvent(
-      SoftEventId{StripTimerIdShard(id_value)}, delta_ticks);
-  if (!moved.valid()) {
-    return SoftEventId{};
-  }
-  return SoftEventId{
-      WithTimerIdShard(moved.value, TimerIdShard(id_value))};
+bool ShardedSoftTimerRuntime::ApplyReschedule(Shard& shard, uint64_t id_value,
+                                              uint64_t delta_ticks) {
+  // The event keeps its facility id across the re-arm, so both a local id
+  // and a remote id's table entry stay valid as they are.
+  return shard.facility->RescheduleSoftEvent(
+      SoftEventId{LocalId(shard, id_value)}, delta_ticks);
 }
 
 // SOFTTIMER_HOT
@@ -371,10 +341,7 @@ SoftEventId ShardedSoftTimerRuntime::ScheduleCrossCoreWithRetry(
 bool ShardedSoftTimerRuntime::RescheduleCrossCore(ProducerToken& token,
                                                   SoftEventId id,
                                                   uint64_t delta_ticks) {
-  // Remote ids only: the shard rebinds its remote-id table on apply, so the
-  // caller's handle survives. A local id is renamed by the reschedule, with
-  // no way to return the new name.
-  if (!token.valid() || !id.valid() || !IsRemoteTimerId(id.value)) {
+  if (!token.valid() || !id.valid()) {
     return false;
   }
   size_t shard = TimerIdShard(id.value);

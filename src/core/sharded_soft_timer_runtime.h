@@ -37,7 +37,8 @@
 // allocation-free in steady state). The facility's cookie/retire hook erases
 // the table entry when the event fires or is cancelled (through any cancel
 // path, including a direct facility CancelSoftEvent), so the table tracks
-// exactly the live remote events.
+// exactly the live remote events. A re-arm or a policy deferral keeps the
+// slab id, so neither kind of id ever changes while its event lives.
 //
 // Cross-core cancel semantics: a cancel command is applied when it drains.
 // Commands from one producer drain in FIFO order, so a producer can always
@@ -126,9 +127,8 @@ class ShardedSoftTimerRuntime {
     size_t max_producers = 8;
     // Capacity of each command ring, rounded up to a power of two.
     size_t ring_capacity = 1024;
-    // Per-shard facility configuration. Degradation must stay disabled: the
-    // sharded runtime relies on the no-policy fast gate and on the payload
-    // cookie field (which policy mode reuses for deferral remaps).
+    // Per-shard facility configuration, degradation policy included (a
+    // deferred event keeps its id, so remote ids stay valid across it).
     SoftTimerFacility::Config facility;
   };
 
@@ -190,15 +190,10 @@ class ShardedSoftTimerRuntime {
   bool CancelOnShard(size_t shard, SoftEventId id);
 
   // Re-arms an id (local or remote) that targets `shard` to fire
-  // `delta_ticks` from now, preserving its handler and tag - the facility's
-  // RescheduleSoftEvent with the runtime's id plumbing on top. Returns the
-  // id naming the event afterwards: a remote id is returned unchanged (the
-  // shard's remote-id table is rebound underneath it, so the producer's
-  // handle stays live), a local id is renamed (the queue's Update is a
-  // cancel+reschedule). Invalid id when the event already fired, was
-  // cancelled, or targets another shard.
-  SoftEventId RescheduleOnShard(size_t shard, SoftEventId id,
-                                uint64_t delta_ticks);
+  // `delta_ticks` from now, preserving its handler, tag and id - the
+  // facility's RescheduleSoftEvent on the id the runtime resolves. False
+  // when the event already fired, was cancelled, or targets another shard.
+  bool RescheduleOnShard(size_t shard, SoftEventId id, uint64_t delta_ticks);
 
   // The shard's trigger-state check: drains remote commands when the
   // pending flag says any exist, then runs the facility check. When nothing
@@ -261,15 +256,12 @@ class ShardedSoftTimerRuntime {
   // header comment for the async semantics).
   bool CancelCrossCore(ProducerToken& token, SoftEventId id);
 
-  // Enqueues a re-arm for a REMOTE id (one returned by a cross-core
-  // schedule): when the command drains, the target shard reschedules the
-  // event `delta_ticks` from the enqueue tick and rebinds its remote-id
-  // table, so this same id keeps naming the event afterwards. Local ids are
-  // rejected (a reschedule renames them, and an async command has no way to
-  // hand the new name back); owner threads use RescheduleOnShard instead.
-  // Returns true when the command was enqueued, with the usual async
-  // semantics: a re-arm racing the event's own dispatch is a no-op counted
-  // in remote_reschedule_misses.
+  // Enqueues a re-arm for an id returned by either schedule path (local or
+  // remote): when the command drains, the target shard reschedules the
+  // event `delta_ticks` from the enqueue tick, and the same id keeps naming
+  // it afterwards. Returns true when the command was enqueued, with the
+  // usual async semantics: a re-arm racing the event's own dispatch is a
+  // no-op counted in remote_reschedule_misses.
   bool RescheduleCrossCore(ProducerToken& token, SoftEventId id,
                            uint64_t delta_ticks);
 
@@ -332,7 +324,7 @@ class ShardedSoftTimerRuntime {
     enum class Op : uint8_t { kNone, kSchedule, kCancel, kUpdate };
     Op op = Op::kNone;
     uint32_t tag = 0;
-    uint64_t id = 0;           // remote id (schedule) or cancel target
+    uint64_t id = 0;           // remote id (schedule) or cancel/update target
     uint64_t delta_ticks = 0;
     uint64_t enqueue_tick = 0;
     SoftTimerFacility::Handler handler;
@@ -361,9 +353,10 @@ class ShardedSoftTimerRuntime {
 
   // Applies a drained command on the owner thread.
   void ApplyCommand(Shard& shard, Command&& cmd);
+  // The shard facility's id for a runtime id that targets `shard`.
+  static uint64_t LocalId(const Shard& shard, uint64_t id_value);
   bool ApplyCancel(Shard& shard, uint64_t id_value);
-  SoftEventId ApplyReschedule(Shard& shard, uint64_t id_value,
-                              uint64_t delta_ticks);
+  bool ApplyReschedule(Shard& shard, uint64_t id_value, uint64_t delta_ticks);
 
   // Raises the shard's pending flag and fires the wake hook (called by a
   // producer after a successful ring push).

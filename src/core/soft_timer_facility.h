@@ -42,7 +42,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "src/core/clock_source.h"
 #include "src/core/degradation_policy.h"
@@ -66,8 +65,8 @@ class SoftTimerFacility {
     // this rate; the facility only uses the value for bookkeeping/X.
     uint64_t interrupt_clock_hz = 1'000;
     // Graceful-degradation policy (drought escalation, handler quarantine,
-    // batch caps). Disabled by default: the facility then runs the
-    // zero-overhead fast-gate dispatch path.
+    // batch caps). Disabled by default: every check then takes the
+    // next-deadline fast gate.
     DegradationPolicy::Config degradation;
     // A drain (one OnTriggerState that found work) reads the clock once up
     // front and stamps every dispatched event's fired_tick from that cached
@@ -121,30 +120,27 @@ class SoftTimerFacility {
   // When the event is dispatched or cancelled, the retire hook (below) is
   // invoked with the cookie. Used by ShardedSoftTimerRuntime to tie a
   // cross-core event back to its remote-id table entry without wrapping the
-  // handler in an extra (allocating) closure. Only valid without a
-  // degradation policy (policy mode reuses the payload cookie field for
-  // deferral remaps).
+  // handler in an extra (allocating) closure.
   SoftEventId ScheduleSoftEventWithCookie(uint64_t delta_ticks, Handler handler,
                                           uint32_t handler_tag, uint64_t cookie);
 
   // Cancels a pending event; false if it fired or was already cancelled.
+  // An event the policy deferred is still pending under its own id.
   bool CancelSoftEvent(SoftEventId id);
 
   // Re-arms a pending event to fire `delta_ticks` from now, preserving its
-  // handler, tag, and cookie (no retire: the event stays alive). Returns the
-  // fresh id naming the event afterwards (the queue's Update is a
-  // cancel+reschedule), or an invalid id if the event already fired or was
-  // cancelled. Treat the input id as consumed either way. The paper's
-  // deadline rule applies as if freshly scheduled: the event fires at the
-  // first trigger state past MeasureTime() + delta + 1. Zero-alloc; only
-  // valid without a degradation policy (like cookies, the policy reuses the
-  // payload metadata this path rewrites in place).
-  SoftEventId RescheduleSoftEvent(SoftEventId id, uint64_t delta_ticks);
+  // handler, tag, cookie and id (no retire: the event stays alive). Returns
+  // false if the event already fired, was cancelled or is being dispatched.
+  // The paper's deadline rule applies as if freshly scheduled: the event
+  // fires at the first trigger state past MeasureTime() + delta + 1.
+  // Zero-alloc.
+  bool RescheduleSoftEvent(SoftEventId id, uint64_t delta_ticks);
 
   // Raw-function-pointer hook invoked when an event carrying a non-zero
-  // cookie is retired: pre-handler at dispatch, or on a successful
-  // CancelSoftEvent; no-policy mode only. Kept as a plain pointer + context
-  // so installing and firing it never allocates.
+  // cookie is retired: pre-handler at dispatch (a policy deferral is not a
+  // dispatch), or on a successful CancelSoftEvent. So each cookie is
+  // retired exactly once. Kept as a plain pointer + context so installing
+  // and firing it never allocates.
   using EventRetiredFn = void (*)(void* ctx, uint64_t cookie);
   void set_event_retired_hook(EventRetiredFn fn, void* ctx) {
     event_retired_fn_ = fn;
@@ -160,15 +156,13 @@ class SoftTimerFacility {
   // SOFTTIMER_HOT
   size_t OnTriggerState(TriggerSource source) {
     ++stats_.checks;
-    if (policy_ == nullptr) {
-      // Fast gate: next_deadline_ is a conservative lower bound on the
-      // earliest pending deadline (UINT64_MAX when the queue is empty).
-      if (MeasureTime() < next_deadline_) {
-        return 0;
-      }
-      return ExpireDue(source);
+    // Fast gate: next_deadline_ is a conservative lower bound on the
+    // earliest pending deadline (UINT64_MAX when the queue is empty). A
+    // policy skips it: every check must reach its density tracker.
+    if (policy_ == nullptr && MeasureTime() < next_deadline_) [[likely]] {
+      return 0;
     }
-    return PolicyCheck(source);
+    return ExpireDue(source);
   }
 
   // Called from the periodic backup timer interrupt; dispatches overdue
@@ -271,11 +265,11 @@ class SoftTimerFacility {
   void ResetStats() { stats_ = Stats{}; }
 
  private:
-  // The queue-node handler installed by ScheduleSoftEvent when no policy is
-  // configured: forwards to the facility's single dispatch entry point. The
-  // event's scheduling metadata lives in the node's TimerPayload, not in a
-  // closure capture, so the whole thunk is {facility, handler} and fits the
-  // handler slot's inline buffer.
+  // The queue-node handler installed by ScheduleSoftEvent: forwards to the
+  // facility's single dispatch entry point. The event's scheduling metadata
+  // lives in the node's TimerPayload, not in a closure capture, so the
+  // whole thunk is {facility, handler} and fits the handler slot's inline
+  // buffer.
   struct DispatchThunk {
     SoftTimerFacility* facility;
     Handler handler;
@@ -284,37 +278,16 @@ class SoftTimerFacility {
     }
   };
 
-  // Policy-mode variant: consults quarantine/batch-cap state and either
-  // dispatches or defers (relinks the node's payload under a new TimerId).
-  struct PolicyThunk {
-    SoftTimerFacility* facility;
-    Handler handler;
-    void operator()(const TimerFired& fired) {
-      facility->RunOrDeferFired(fired, handler);
-    }
-  };
-
-  // Single dispatch entry point: builds FireInfo from the fired payload,
-  // updates stats, runs observers and the handler.
+  // Single dispatch entry point: defers the event under its own id when the
+  // policy says so (quarantined tag at a non-backup check, or batch cap
+  // reached); otherwise builds FireInfo from the fired payload, updates
+  // stats, runs observers and the handler.
   void DispatchFired(const TimerFired& fired, const Handler& handler);
 
-  // Policy-mode dispatch: runs the handler, or defers it (quarantined tag at
-  // a non-backup check, or batch cap reached) by rescheduling the payload.
-  // May move `handler` out (into the deferred node).
-  void RunOrDeferFired(const TimerFired& fired, Handler& handler);
-
-  // Policy-mode cancel fallback: a deferral may have relinked the event
-  // under a new TimerId; probes the remap table and cancels through it.
-  // Never reached on the no-policy fast path (see the definition's
-  // SOFTTIMER_COLD rationale).
-  bool CancelViaDeferredRemap(uint64_t id_value);
-
-  // Slow path of the no-policy check: expires due timers and refreshes the
-  // next-deadline gate from the queue.
+  // Slow path of the check: feeds the policy's density tracker (if any),
+  // expires due timers and refreshes the next-deadline gate from the queue.
+  // Returns the number of handlers invoked.
   size_t ExpireDue(TriggerSource source);
-
-  // Policy-mode check: feeds the density tracker and expires due timers.
-  size_t PolicyCheck(TriggerSource source);
 
   const ClockSource* clock_;
   Config config_;
@@ -327,9 +300,8 @@ class SoftTimerFacility {
   void* event_retired_ctx_ = nullptr;
   LatenessProbeFn lateness_probe_fn_ = nullptr;
   void* lateness_probe_ctx_ = nullptr;
-  // Conservative cached copy of the earliest pending deadline, maintained
-  // only when no policy is configured (the policy needs every check to reach
-  // its density tracker anyway). Invariant: next_deadline_ <= the queue's
+  // Conservative cached copy of the earliest pending deadline (read only
+  // when no policy is configured). Invariant: next_deadline_ <= the queue's
   // true earliest deadline; UINT64_MAX when (believed) empty. May lag low
   // after a cancel - that costs one slow-path check, never a missed event.
   uint64_t next_deadline_ = UINT64_MAX;
@@ -337,16 +309,12 @@ class SoftTimerFacility {
   // per-event callbacks can attribute their FireInfo (single-threaded).
   TriggerSource dispatch_source_ = TriggerSource::kBackupIntr;
   // Cached clock read stamped into FireInfo::fired_tick for the drain batch
-  // in progress; seeded by ExpireDue/PolicyCheck from the read they already
-  // perform and refreshed every max_dispatches_per_clock_read dispatches.
+  // in progress; seeded by ExpireDue from the read it already performs and
+  // refreshed every max_dispatches_per_clock_read dispatches.
   uint64_t batch_fired_tick_ = 0;
   uint32_t batch_reads_left_ = 0;
-  // Handlers invoked by the OnTriggerState call in progress (policy mode).
+  // Handlers invoked by the OnTriggerState call in progress.
   size_t dispatched_this_check_ = 0;
-  // SoftEventId -> current TimerId for events whose queue entry was replaced
-  // by a deferral; consulted by CancelSoftEvent. Policy mode only (the
-  // no-policy path never defers, so CancelSoftEvent skips the probe).
-  std::unordered_map<uint64_t, TimerId> deferred_remap_;
   // Mutable so stats() can refresh the slab occupancy fields on read.
   mutable Stats stats_;
 };

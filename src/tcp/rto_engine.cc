@@ -162,7 +162,7 @@ size_t RtoEngine::OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq) {
     // RFC 6298 step 5.3: new data was acknowledged with segments still in
     // flight, so restart the retransmission timer from now at the refreshed
     // (backoff-collapsed, re-estimated) RTO. One reschedule per survivor,
-    // which keeps the timer's handler and never allocates.
+    // which keeps the timer's handler and id and never allocates.
     if (conn->live > 0) {
       uint64_t rto = EffectiveRto(*conn);
       for (uint32_t i = 0; i < conn->live; ++i) {
@@ -170,10 +170,7 @@ size_t RtoEngine::OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq) {
         if (!seg.timer.valid()) {
           continue;
         }
-        SoftEventId moved =
-            rt_->RescheduleOnShard(config_.shard, seg.timer, rto);
-        if (moved.valid()) {
-          seg.timer = moved;
+        if (rt_->RescheduleOnShard(config_.shard, seg.timer, rto)) {
           ++stats_.timers_rescheduled;
         }
       }

@@ -123,7 +123,8 @@ class RtoEngine {
   // resets backoff on forward progress. On forward progress with segments
   // still in flight it restarts the survivors' timers from now at the
   // refreshed RTO (RFC 6298 step 5.3) through the runtime's reschedule
-  // path - one allocation-free re-arm per survivor that keeps its handler.
+  // path - one allocation-free re-arm per survivor that keeps its handler
+  // and its id, so the segment's stored id stays valid.
   // Returns segments retired.
   // Hot path - marked SOFTTIMER_HOT at the definition.
   size_t OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq);
@@ -162,7 +163,8 @@ class RtoEngine {
   struct Segment {
     uint64_t seq_end = 0;
     uint64_t sent_tick = 0;
-    SoftEventId timer{};        // invalid when no timer armed
+    SoftEventId timer{};        // invalid when no timer armed; kept
+                                // across restarts
     uint8_t retransmitted = 0;  // Karn flag
   };
 

@@ -7,69 +7,77 @@ namespace softtimer {
 
 // SOFTTIMER_COLD: amortized heap-vector growth - entered only when the entry
 // count breaks its previous capacity high-water mark; after warmup the heap
-// runs at capacity and Schedule's push_back below never reallocates.
+// runs at capacity and PushEntry's push_back below never reallocates.
 void HeapTimerQueue::GrowHeap() {
   heap_.reserve(heap_.capacity() == 0 ? 64 : heap_.capacity() * 2);
 }
 
 // SOFTTIMER_HOT
-TimerId HeapTimerQueue::Schedule(uint64_t deadline_tick, TimerPayload payload) {
-  if (deadline_tick < cursor_) {
-    deadline_tick = cursor_;
-  }
-  uint32_t index = slab_.Allocate();
-  Node& n = slab_.at(index);
-  n.payload = std::move(payload);
-  n.deadline = deadline_tick;
+void HeapTimerQueue::PushEntry(uint32_t index, Node& n, uint64_t deadline_tick) {
+  n.deadline = deadline_tick < cursor_ ? cursor_ : deadline_tick;
+  n.seq = next_seq_++;
   if (heap_.size() == heap_.capacity()) {
     GrowHeap();
   }
-  heap_.push_back(HeapEntry{deadline_tick, next_seq_++, index, n.generation});  // lint:allow-alloc
+  heap_.push_back(HeapEntry{n.deadline, n.seq, index});  // lint:allow-alloc
   std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+}
+
+void HeapTimerQueue::NoteStaleEntry() {
+  ++stale_count_;
+  // Without compaction, a schedule/cancel-only workload (no expiry in
+  // between) would grow the heap without bound. Sweeping once stale entries
+  // outnumber live ones keeps the vector at <= 2x the live high-water mark
+  // and costs amortized O(1) per stale entry.
+  if (stale_count_ > live_count_ && heap_.size() > 64) {
+    Compact();
+  }
+}
+
+// SOFTTIMER_HOT
+TimerId HeapTimerQueue::Schedule(uint64_t deadline_tick, TimerPayload payload) {
+  uint32_t index = slab_.Allocate();
+  Node& n = slab_.at(index);
+  n.payload = std::move(payload);
+  PushEntry(index, n, deadline_tick);
   ++live_count_;
   return TimerId{PackTimerIdValue(index, n.generation)};
 }
 
 // SOFTTIMER_HOT
 bool HeapTimerQueue::Cancel(TimerId id) {
-  if (!slab_.IsCurrent(id.value)) {
+  if (!IsPending(id)) {
     return false;
   }
   // Free the slot now (bumping its generation); the heap entry goes stale
-  // and is skimmed when it reaches the top, or swept out by Compact below.
+  // and is skimmed when it reaches the top, or swept out by Compact.
   uint32_t index = TimerIdIndex(id.value);
-  Node& n = slab_.at(index);
-  n.payload.handler.reset();
+  slab_.at(index).payload.handler.reset();
   slab_.Free(index);
   --live_count_;
-  ++stale_count_;
-  // Without compaction, a schedule/cancel-only workload (no expiry in
-  // between) would grow the heap without bound. Sweeping once stale entries
-  // outnumber live ones keeps the vector at <= 2x the live high-water mark
-  // and costs amortized O(1) per cancel.
-  if (stale_count_ > live_count_ && heap_.size() > 64) {
-    Compact();
-  }
+  NoteStaleEntry();
   return true;
 }
 
-// Update: cancel+reschedule with the payload carried across on the stack.
-// MutablePayload gates out stale ids, so the Cancel below can only fail if
-// the id went stale between the two calls - impossible under the
-// single-threaded queue contract, but restore-and-bail keeps the operation
-// self-contained.
 // SOFTTIMER_HOT
-TimerId HeapTimerQueue::Update(TimerId id, uint64_t new_deadline_tick) {
-  TimerPayload* payload = MutablePayload(id);
-  if (payload == nullptr) {
-    return TimerId{};
+bool HeapTimerQueue::Update(TimerId id, uint64_t new_deadline_tick) {
+  if (!slab_.IsCurrent(id.value)) {
+    return false;
   }
-  TimerPayload moved = std::move(*payload);
-  if (!Cancel(id)) {
-    *payload = std::move(moved);
-    return TimerId{};
+  uint32_t index = TimerIdIndex(id.value);
+  Node& n = slab_.at(index);
+  // A firing node's entry was popped by ExpireUpTo, so re-queuing it from
+  // its own handler leaves nothing stale; a pending node's old entry goes
+  // stale in place once the fresh one carries its seq.
+  bool firing = n.state == TimerNodeState::kFiring;
+  PushEntry(index, n, new_deadline_tick);
+  if (firing) {
+    n.state = TimerNodeState::kPending;
+    ++live_count_;
+  } else {
+    NoteStaleEntry();
   }
-  return Schedule(new_deadline_tick, std::move(moved));
+  return true;
 }
 
 void HeapTimerQueue::Compact() const {
@@ -98,19 +106,25 @@ size_t HeapTimerQueue::ExpireUpTo(uint64_t now_tick) {
     if (heap_.empty() || heap_.front().deadline > now_tick) {
       break;
     }
-    HeapEntry top = heap_.front();
+    uint32_t index = heap_.front().slot;
     std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
     heap_.pop_back();
-    Node& n = slab_.at(top.slot);
-    // Move the payload out and recycle the node before invoking, so the
-    // handler can schedule (reusing this slot) or cancel stale ids.
-    TimerPayload payload = std::move(n.payload);
-    TimerFired fired_info{&payload, n.deadline,
-                          TimerId{PackTimerIdValue(top.slot, n.generation)}};
-    slab_.Free(top.slot);
+    // Fire in place. The node stays allocated while its handler runs, so
+    // the handler can re-queue itself with Update under the same id, while
+    // its id stays dead to Cancel, PeekUserData and MutablePayload.
+    Node& n = slab_.at(index);
+    n.state = TimerNodeState::kFiring;
     --live_count_;
     ++fired;
-    payload.handler.Invoke(fired_info);
+    TimerId id{PackTimerIdValue(index, n.generation)};
+    n.payload.handler.Invoke(TimerFired{&n.payload, n.deadline, id});
+    // Free it once the handler returns, unless the handler re-queued it
+    // (IsCurrent also guards a node that was re-queued, cancelled and
+    // trimmed away inside the handler).
+    if (slab_.IsCurrent(id.value) && n.state == TimerNodeState::kFiring) {
+      n.payload.handler.reset();
+      slab_.Free(index);
+    }
   }
   return fired;
 }

@@ -1,20 +1,24 @@
 // HeapTimerQueue: the timer data structure under the soft-timer facility.
-// A binary heap: O(log n) schedule, O(1) earliest-deadline, lazy-deletion
-// cancel. It is the one queue; the facility holds it by value, so schedule,
-// cancel, re-arm and expiry are direct calls (DESIGN.md section 13 has the
-// measurements that retired the timing wheels and the callout list).
+// A binary heap: O(log n) schedule and re-arm, O(1) earliest-deadline,
+// lazy-deletion cancel. It is the one queue; the facility holds it by
+// value, so schedule, cancel, re-arm and expiry are direct calls (DESIGN.md
+// section 13 has the measurements that retired the timing wheels and the
+// callout list).
 //
 // The queue deals in abstract unsigned "ticks" (the facility maps its
 // measurement clock onto ticks). Deadlines are absolute tick values.
 //
 // Payloads (timer_queue.h) live in slab-recycled nodes (timer_slab.h); the
-// heap itself holds only {deadline, seq, slot, generation} entries, so a
-// cancelled timer's entry goes stale (its generation no longer matches the
-// slot) and is skimmed lazily at the top. When stale entries outnumber live
-// ones the heap compacts in place (remove_if + make_heap, no allocation),
-// so a schedule/cancel-only workload cannot grow the vector unboundedly.
-// Steady-state schedule/cancel/fire performs zero heap allocations once the
-// slab and the heap vector reach the workload's high-water mark.
+// heap itself holds only {deadline, seq, slot} entries. Each node records
+// the seq of its one current entry, so an entry counts only while its node
+// is pending and the two seqs match: a cancelled timer's entry (its node
+// freed) and a re-armed timer's old entry (its node re-pushed under a new
+// seq) go stale in place and are skimmed lazily at the top. When stale
+// entries outnumber live ones the heap compacts in place (remove_if +
+// make_heap, no allocation), so a schedule/cancel or re-arm-only workload
+// cannot grow the vector unboundedly. Steady-state schedule/cancel/re-arm/
+// fire performs zero heap allocations once the slab and the heap vector
+// reach the workload's high-water mark.
 //
 // Semantics (pinned by tests/timer_queue_conformance_test.cc):
 //
@@ -29,11 +33,15 @@
 //  * Cancel returns true exactly once per scheduled timer that has neither
 //    fired nor been cancelled; stale ids (fired, cancelled, or recycled
 //    slots) return false.
-//  * Update(id, new_deadline) atomically moves a live timer to a new
-//    deadline, preserving its payload, and returns the id that names the
-//    timer afterwards (an invalid id for stale/fired/cancelled inputs).
-//    Observably it is cancel+reschedule: the moved timer fires at the new
-//    deadline in fresh schedule order, past deadlines clamp like Schedule.
+//  * Update(id, new_deadline) moves a live timer to a new deadline in
+//    place: it keeps its slot, payload and id, and Update returns false
+//    (moving nothing) for stale/fired/cancelled ids. The moved timer fires
+//    at the new deadline in fresh schedule order (at the tail of its new
+//    deadline's FIFO), and a past deadline clamps like Schedule.
+//  * A handler runs in place, and its node is freed only after it returns.
+//    While it runs, its own id is dead to Cancel, PeekUserData and
+//    MutablePayload, but Update(fired.id, ...) re-queues the timer under
+//    the same id (a past deadline clamps to the next ExpireUpTo).
 
 #ifndef SOFTTIMER_SRC_TIMER_HEAP_TIMER_QUEUE_H_
 #define SOFTTIMER_SRC_TIMER_HEAP_TIMER_QUEUE_H_
@@ -70,29 +78,26 @@ class HeapTimerQueue {
   // cancelled, or the id is stale (its slab slot was recycled).
   bool Cancel(TimerId id);
 
-  // Moves a live timer to `new_deadline_tick`, preserving its payload, and
-  // returns the id naming the timer afterwards; an invalid id if `id` is
-  // stale/fired/cancelled (the reused slot, if any, is left untouched).
-  // An allocation-free cancel+reschedule: the returned id carries a fresh
-  // generation.
-  TimerId Update(TimerId id, uint64_t new_deadline_tick);
+  // Moves a live timer to `new_deadline_tick` in place: same slot, payload
+  // and id. Returns false, moving nothing, if `id` is stale/fired/cancelled
+  // (the reused slot, if any, is left untouched). From inside the timer's
+  // own handler it re-queues the firing timer under the same id.
+  bool Update(TimerId id, uint64_t new_deadline_tick);
 
-  // The live timer's payload for in-place metadata edits, or nullptr for
-  // stale/fired/cancelled ids. Callers must not touch the handler slot of a
-  // node that is being fired.
+  // The pending timer's payload for in-place metadata edits, or nullptr for
+  // stale/fired/cancelled ids and for a timer whose handler is running.
   TimerPayload* MutablePayload(TimerId id) {
-    return slab_.IsCurrent(id.value)
-               ? &slab_.at(TimerIdIndex(id.value)).payload
-               : nullptr;
+    return IsPending(id) ? &slab_.at(TimerIdIndex(id.value)).payload
+                         : nullptr;
   }
 
   // The pending timer's payload user_data, or 0 for stale/fired/cancelled
-  // ids. The facility's cancel path reads this before Cancel destroys the
-  // payload, so a cancelled event's cookie can still be retired.
+  // ids and while the timer's handler runs. The facility's cancel path
+  // reads this before Cancel destroys the payload, so a cancelled event's
+  // cookie can still be retired.
   uint64_t PeekUserData(TimerId id) const {
-    return slab_.IsCurrent(id.value)
-               ? slab_.at(TimerIdIndex(id.value)).payload.user_data
-               : 0;
+    return IsPending(id) ? slab_.at(TimerIdIndex(id.value)).payload.user_data
+                         : 0;
   }
 
   // Fires all timers with deadline <= now_tick; returns how many fired.
@@ -129,6 +134,7 @@ class HeapTimerQueue {
   struct Node {
     TimerPayload payload;
     uint64_t deadline = 0;
+    uint64_t seq = 0;                // seq of the node's one current entry
     uint32_t generation = 1;         // slab convention (see timer_slab.h)
     uint32_t next = kNilTimerIndex;  // free-list link
     TimerNodeState state = TimerNodeState::kFree;
@@ -138,7 +144,6 @@ class HeapTimerQueue {
     uint64_t deadline;
     uint64_t seq;
     uint32_t slot;
-    uint32_t generation;
   };
   // Min-heap order on (deadline, seq).
   struct EntryAfter {
@@ -150,15 +155,28 @@ class HeapTimerQueue {
     }
   };
 
-  // True when the entry still refers to the live timer it was pushed for.
-  bool EntryCurrent(const HeapEntry& e) const {
-    return slab_.at(e.slot).generation == e.generation;
+  // True while `id` names a pending timer (not fired, firing or cancelled).
+  bool IsPending(TimerId id) const {
+    return slab_.IsCurrent(id.value) &&
+           slab_.at(TimerIdIndex(id.value)).state == TimerNodeState::kPending;
   }
+  // True when the entry is its pending node's one current entry.
+  bool EntryCurrent(const HeapEntry& e) const {
+    const Node& n = slab_.at(e.slot);
+    return n.state == TimerNodeState::kPending && n.seq == e.seq;
+  }
+  // Pushes node `index`'s one current entry at `deadline_tick` (clamped to
+  // the cursor), under a fresh seq. Schedule and Update share it.
+  void PushEntry(uint32_t index, Node& n, uint64_t deadline_tick);
+  // Counts one entry that went stale in place, compacting when stale
+  // entries outnumber live ones.
+  void NoteStaleEntry();
   void SkimCancelled() const;
   // Drops every stale entry and re-heapifies, in place.
   void Compact() const;
-  // Capacity growth for heap_, split out so Schedule's push_back never takes
-  // the reallocating branch (see the SOFTTIMER_COLD marker on the definition).
+  // Capacity growth for heap_, split out so PushEntry's push_back never
+  // takes the reallocating branch (see the SOFTTIMER_COLD marker on the
+  // definition).
   void GrowHeap();
 
   // Deadlines below this are clamped up to it: a past deadline fires on the

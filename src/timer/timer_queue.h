@@ -18,7 +18,8 @@
 // slab-recycled node storage (see timer_slab.h), and expiry fires the slot
 // in place. Steady-state schedule / cancel / fire performs zero heap
 // allocations. TimerIds are generation-counted, so a stale id whose slab
-// slot was recycled is rejected rather than cancelling a stranger.
+// slot was recycled is rejected rather than cancelling a stranger. A re-arm
+// moves the node in place, so a timer keeps its TimerId for life.
 
 #ifndef SOFTTIMER_SRC_TIMER_TIMER_QUEUE_H_
 #define SOFTTIMER_SRC_TIMER_TIMER_QUEUE_H_
@@ -41,9 +42,10 @@ struct TimerId {
 
 struct TimerPayload;
 
-// Passed to the fired handler: the node's payload (movable: a handler may
-// steal its own state to relink/defer itself), the deadline the node was
-// stored under, and the id it was scheduled as.
+// Passed to the fired handler: the node's payload, in place (the node is
+// freed after the handler returns), the deadline the node was stored under,
+// and the timer's id. A handler defers itself with Update(id, deadline),
+// which re-queues the node under the same id.
 struct TimerFired {
   TimerPayload* payload;
   uint64_t deadline_tick;
@@ -143,7 +145,7 @@ class TimerHandlerSlot {
 struct TimerPayload {
   uint64_t scheduled_tick = 0;  // tick the event was scheduled at
   uint64_t delta_ticks = 0;     // the requested delay T
-  uint64_t user_data = 0;       // caller-owned (facility: original public id)
+  uint64_t user_data = 0;       // caller-owned (facility: the event's cookie)
   uint32_t tag = 0;             // caller-chosen handler class
   TimerHandlerSlot handler;
 };

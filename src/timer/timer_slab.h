@@ -91,7 +91,8 @@ inline constexpr uint32_t NextTimerGeneration(uint32_t generation) {
 enum class TimerNodeState : uint8_t {
   kFree = 0,
   kPending,
-  kCancelledDue,  // cancelled while sitting in an expiry batch
+  kCancelledDue,  // pacing wheel: cancelled while sitting in an expiry batch
+  kFiring,        // heap: its handler is running (HeapTimerQueue::ExpireUpTo)
 };
 
 // Capacity/occupancy snapshot (surfaced through HeapTimerQueue::slab_stats

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "src/core/soft_timer_facility.h"
 #include "src/fault/fault_injector.h"
@@ -273,6 +274,57 @@ TEST(FaultInjectionTest, BatchCapBoundsDispatchesPerCheck) {
   }
   EXPECT_EQ(fac.OnTriggerState(TriggerSource::kSyscall), 0u);
   EXPECT_EQ(fac.degradation()->stats().deferred_batch_cap, 16u + 12u + 8u + 4u);
+}
+
+TEST(FaultInjectionTest, BatchCapDeferralKeepsIdAndCookie) {
+  // A deferral re-queues the event under its own id with its payload
+  // intact, so every cookie retires exactly once with its own value:
+  // whether its event dispatched after a deferral, or was cancelled by its
+  // original id while deferred.
+  Simulator sim;
+  SimClockSource clock(&sim, kMeasureHz);
+  SoftTimerFacility::Config cfg;
+  cfg.degradation.enabled = true;
+  cfg.degradation.max_dispatches_per_check = 1;
+  SoftTimerFacility fac(&clock, cfg);
+  std::vector<uint64_t> retired;
+  fac.set_event_retired_hook(
+      [](void* ctx, uint64_t cookie) {
+        static_cast<std::vector<uint64_t>*>(ctx)->push_back(cookie);
+      },
+      &retired);
+
+  std::vector<uint64_t> fired;  // cookies of dispatched events, in order
+  std::vector<SoftEventId> ids;
+  for (uint64_t cookie = 0xC0; cookie < 0xC4; ++cookie) {
+    ids.push_back(fac.ScheduleSoftEventWithCookie(
+        10,
+        [&fired, cookie](const SoftTimerFacility::FireInfo&) {
+          fired.push_back(cookie);
+        },
+        0, cookie));
+  }
+  sim.RunUntil(SimTime::Zero() + SimDuration::Micros(100));
+  // Cap 1: the first event dispatches, the other three defer.
+  EXPECT_EQ(fac.OnTriggerState(TriggerSource::kSyscall), 1u);
+  EXPECT_EQ(fired, (std::vector<uint64_t>{0xC0}));
+  EXPECT_EQ(retired, (std::vector<uint64_t>{0xC0}));
+  EXPECT_EQ(fac.pending_count(), 3u);
+  // A deferred event cancels by its original id and retires its own cookie.
+  EXPECT_TRUE(fac.CancelSoftEvent(ids[2]));
+  EXPECT_FALSE(fac.CancelSoftEvent(ids[2]));
+  EXPECT_EQ(retired, (std::vector<uint64_t>{0xC0, 0xC2}));
+  // The other two dispatch one per check, each after a deferral.
+  for (int check = 1; check <= 3; ++check) {
+    sim.RunUntil(SimTime::Zero() + SimDuration::Micros(100 + check));
+    fac.OnTriggerState(TriggerSource::kSyscall);
+  }
+  EXPECT_EQ(fired, (std::vector<uint64_t>{0xC0, 0xC1, 0xC3}));
+  EXPECT_EQ(retired, (std::vector<uint64_t>{0xC0, 0xC2, 0xC1, 0xC3}));
+  EXPECT_EQ(fac.pending_count(), 0u);
+  EXPECT_FALSE(fac.CancelSoftEvent(ids[1]));
+  EXPECT_FALSE(fac.CancelSoftEvent(ids[3]));
+  EXPECT_EQ(fac.degradation()->stats().deferred_batch_cap, 3u + 1u);
 }
 
 TEST(FaultInjectionTest, QuarantinedEventsDeferToBackupAndStayCancellable) {

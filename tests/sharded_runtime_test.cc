@@ -236,24 +236,22 @@ TEST(ShardedRuntimeTest, RescheduleOnShardMovesDeadlineBothWays) {
   SoftEventId id = rt.ScheduleOnShard(
       1, 100, [&](const SoftTimerFacility::FireInfo&) { ++fired; });
   // Wrong shard: rejected, event untouched.
-  EXPECT_FALSE(rt.RescheduleOnShard(0, id, 10).valid());
+  EXPECT_FALSE(rt.RescheduleOnShard(0, id, 10));
 
   // Push the deadline out: t=50, re-arm for T=500 -> due past t=551.
   clock.Advance(50);
-  SoftEventId moved = rt.RescheduleOnShard(1, id, 500);
-  ASSERT_TRUE(moved.valid());
-  EXPECT_EQ(TimerIdShard(moved.value), 1u);
+  ASSERT_TRUE(rt.RescheduleOnShard(1, id, 500));
+  EXPECT_EQ(TimerIdShard(id.value), 1u);
   clock.Advance(100);  // t=150: the original deadline passed, must not fire
   EXPECT_EQ(rt.OnTriggerState(1, TriggerSource::kSyscall), 0u);
 
   // Pull it back in: t=150, re-arm for T=20 -> due past t=171.
-  moved = rt.RescheduleOnShard(1, moved, 20);
-  ASSERT_TRUE(moved.valid());
+  ASSERT_TRUE(rt.RescheduleOnShard(1, id, 20));
   clock.Advance(30);
   EXPECT_EQ(rt.OnTriggerState(1, TriggerSource::kSyscall), 1u);
   EXPECT_EQ(fired, 1);
   // The event is gone: a further reschedule misses.
-  EXPECT_FALSE(rt.RescheduleOnShard(1, moved, 10).valid());
+  EXPECT_FALSE(rt.RescheduleOnShard(1, id, 10));
   EXPECT_EQ(rt.shard_facility(1).stats().rescheduled, 2u);
 }
 
@@ -300,16 +298,13 @@ TEST(ShardedRuntimeTest, RescheduleCrossCoreAnchorsAtEnqueueTick) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(ShardedRuntimeTest, RescheduleCrossCoreRejectsLocalIdsAndMissesDead) {
+TEST(ShardedRuntimeTest, RescheduleCrossCoreTakesLocalIdsAndMissesDead) {
   ManualClock clock;
   ShardedSoftTimerRuntime rt(&clock, Cfg(1));
   auto token = rt.RegisterProducer();
-  // Local ids have no rebindable table entry: the producer API refuses them
-  // up front (the reschedule renames the id with no way to hand the new name
-  // back).
+  int local_fired = 0;
   SoftEventId local = rt.ScheduleOnShard(
-      0, 1'000, [](const SoftTimerFacility::FireInfo&) {});
-  EXPECT_FALSE(rt.RescheduleCrossCore(token, local, 10));
+      0, 1'000, [&](const SoftTimerFacility::FireInfo&) { ++local_fired; });
 
   // A re-arm racing the event's own dispatch is a counted miss, not a crash.
   int fired = 0;
@@ -323,6 +318,48 @@ TEST(ShardedRuntimeTest, RescheduleCrossCoreRejectsLocalIdsAndMissesDead) {
   rt.OnTriggerState(0, TriggerSource::kSyscall);
   EXPECT_EQ(rt.shard_stats(0).remote_reschedule_misses, 1u);  // ...but missed
   EXPECT_EQ(rt.shard_stats(0).remote_rescheduled, 0u);
+
+  // A local id keeps naming its event across a re-arm, so the producer API
+  // takes it: the re-arm lands, and the same id then cancels the event.
+  EXPECT_TRUE(rt.RescheduleCrossCore(token, local, 10));
+  rt.OnTriggerState(0, TriggerSource::kSyscall);
+  EXPECT_EQ(rt.shard_stats(0).remote_rescheduled, 1u);
+  EXPECT_TRUE(rt.CancelCrossCore(token, local));
+  rt.OnTriggerState(0, TriggerSource::kSyscall);
+  EXPECT_EQ(rt.shard_stats(0).remote_cancelled, 1u);
+  clock.Advance(2'000);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);
+  EXPECT_EQ(local_fired, 0);
+}
+
+TEST(ShardedRuntimeTest, PolicyShardCancelsDeferredRemoteEvent) {
+  // A shard may run a degradation policy: a batch-cap deferral keeps the
+  // event's facility id, so the remote id still cancels it.
+  ManualClock clock;
+  ShardedSoftTimerRuntime::Config cfg = Cfg(1);
+  cfg.facility.degradation.enabled = true;
+  cfg.facility.degradation.max_dispatches_per_check = 1;
+  ShardedSoftTimerRuntime rt(&clock, cfg);
+  ASSERT_NE(rt.shard_facility(0).degradation(), nullptr);
+  auto token = rt.RegisterProducer();
+  int fired = 0;
+  auto handler = [&](const SoftTimerFacility::FireInfo&) { ++fired; };
+  rt.ScheduleCrossCore(token, 0, 10, handler);
+  SoftEventId second = rt.ScheduleCrossCore(token, 0, 10, handler);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);  // drain both schedules
+  clock.Advance(50);
+  // Both due: the cap dispatches the first and defers the second.
+  EXPECT_EQ(rt.OnTriggerState(0, TriggerSource::kSyscall), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rt.shard_stats(0).remote_live, 1u);
+  EXPECT_TRUE(rt.CancelCrossCore(token, second));
+  clock.Advance(1);
+  EXPECT_EQ(rt.OnTriggerState(0, TriggerSource::kSyscall), 0u);
+  EXPECT_EQ(rt.shard_stats(0).remote_cancelled, 1u);
+  EXPECT_EQ(rt.shard_stats(0).remote_live, 0u);
+  clock.Advance(100);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(ShardedRuntimeTest, WakeHookFiresOnPublish) {

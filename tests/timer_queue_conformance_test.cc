@@ -1,10 +1,10 @@
 // Conformance suite for HeapTimerQueue: the semantics documented in
 // src/timer/heap_timer_queue.h, plus randomized differential tests that
 // replay operation streams (including Update re-arms) against trivially
-// correct ordered-map oracles. The Update tests only ever act through the
-// id *returned* by Update: Update is a cancel+reschedule, so the input id
-// is consumed. The suite keeps its one-row parameter so its test ids stay
-// stable (tests/queue_row.h).
+// correct ordered-map oracles. Update moves a timer in place, so the Update
+// tests keep acting through the original id, which is itself the stability
+// check. The suite keeps its one-row parameter so its test ids stay stable
+// (tests/queue_row.h).
 
 #include <gtest/gtest.h>
 
@@ -218,18 +218,16 @@ TEST_P(TimerQueueConformanceTest, PeekThenCancelWorksOnDueBatchPeer) {
   EXPECT_FALSE(q->Cancel(peer));
 }
 
-// --- Update(id, new_deadline): observably a cancel+reschedule.
+// --- Update(id, new_deadline): moves a live timer in place, under its id.
 
 TEST_P(TimerQueueConformanceTest, UpdateMovesDeadlineBothDirections) {
   auto q = Make();
   int fired = 0;
   TimerId id = q->Schedule(100, [&] { ++fired; });
-  id = q->Update(id, 500);  // push later
-  ASSERT_TRUE(id.valid());
+  ASSERT_TRUE(q->Update(id, 500));  // push later
   EXPECT_EQ(q->ExpireUpTo(100), 0u);
   EXPECT_EQ(fired, 0);
-  id = q->Update(id, 200);  // pull earlier
-  ASSERT_TRUE(id.valid());
+  ASSERT_TRUE(q->Update(id, 200));  // pull earlier
   EXPECT_EQ(q->EarliestDeadline(), 200u);
   EXPECT_EQ(q->ExpireUpTo(200), 1u);
   EXPECT_EQ(fired, 1);
@@ -240,8 +238,7 @@ TEST_P(TimerQueueConformanceTest, UpdatePreservesPayloadAndCookie) {
   auto q = Make();
   int fired = 0;
   TimerId id = ScheduleWithUserData(*q, 100, 0xD4, &fired);
-  id = q->Update(id, 300);
-  ASSERT_TRUE(id.valid());
+  ASSERT_TRUE(q->Update(id, 300));
   EXPECT_EQ(q->PeekUserData(id), 0xD4u);  // cookie survived the move
   EXPECT_EQ(q->ExpireUpTo(300), 1u);
   EXPECT_EQ(fired, 1);
@@ -252,8 +249,7 @@ TEST_P(TimerQueueConformanceTest, UpdateToPastDeadlineClampsLikeSchedule) {
   q->ExpireUpTo(1000);  // cursor is now 1001
   int fired = 0;
   TimerId id = q->Schedule(2000, [&] { ++fired; });
-  id = q->Update(id, 50);  // past: clamps to the cursor
-  ASSERT_TRUE(id.valid());
+  ASSERT_TRUE(q->Update(id, 50));  // past: clamps to the cursor
   EXPECT_EQ(q->ExpireUpTo(1001), 1u);
   EXPECT_EQ(fired, 1);
 }
@@ -266,8 +262,7 @@ TEST_P(TimerQueueConformanceTest, UpdatedTimerJoinsEqualDeadlineFifoAtTail) {
   TimerId moved = q->Schedule(100, [&] { order.push_back(0); });
   q->Schedule(500, [&] { order.push_back(1); });
   q->Schedule(500, [&] { order.push_back(2); });
-  moved = q->Update(moved, 500);
-  ASSERT_TRUE(moved.valid());
+  ASSERT_TRUE(q->Update(moved, 500));
   q->ExpireUpTo(500);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
@@ -276,8 +271,7 @@ TEST_P(TimerQueueConformanceTest, UpdateReturnedIdCancelsExactlyOnce) {
   auto q = Make();
   int fired = 0;
   TimerId id = q->Schedule(100, [&] { ++fired; });
-  id = q->Update(id, 200);
-  ASSERT_TRUE(id.valid());
+  ASSERT_TRUE(q->Update(id, 200));
   EXPECT_TRUE(q->Cancel(id));
   EXPECT_FALSE(q->Cancel(id));
   EXPECT_EQ(q->size(), 0u);
@@ -295,7 +289,7 @@ TEST_P(TimerQueueConformanceTest, UpdateOnCancelledIdFailsAndSparesReuser) {
   EXPECT_TRUE(q->Cancel(a));
   // b very likely recycles a's slab slot; a's id must stay dead either way.
   TimerId b = ScheduleWithUserData(*q, 20, 0xB2, &fired_b);
-  EXPECT_FALSE(q->Update(a, 5000).valid());
+  EXPECT_FALSE(q->Update(a, 5000));
   EXPECT_EQ(q->PeekUserData(b), 0xB2u);  // b is untouched by the stale probe
   EXPECT_EQ(q->EarliestDeadline(), 20u);
   EXPECT_EQ(q->ExpireUpTo(20), 1u);
@@ -309,7 +303,7 @@ TEST_P(TimerQueueConformanceTest, UpdateOnFiredIdFailsAndSparesReuser) {
   TimerId a = q->Schedule(10, [&] { ++fired_a; });
   EXPECT_EQ(q->ExpireUpTo(10), 1u);
   TimerId b = ScheduleWithUserData(*q, 20, 0xB2, &fired_b);
-  EXPECT_FALSE(q->Update(a, 5000).valid());
+  EXPECT_FALSE(q->Update(a, 5000));
   EXPECT_EQ(q->PeekUserData(b), 0xB2u);
   EXPECT_EQ(q->size(), 1u);
   EXPECT_EQ(q->ExpireUpTo(20), 1u);
@@ -335,7 +329,7 @@ TEST_P(TimerQueueConformanceTest, UpdateStaleIdsStayDeadAcrossGenerations) {
   int live = 0;
   TimerId pending = q->Schedule(now + 100, [&] { ++live; });
   for (TimerId id : stale) {
-    EXPECT_FALSE(q->Update(id, now + 50).valid());
+    EXPECT_FALSE(q->Update(id, now + 50));
   }
   EXPECT_EQ(q->size(), 1u);  // the pending timer survived every stale update
   EXPECT_EQ(q->EarliestDeadline(), now + 100);
@@ -353,11 +347,7 @@ TEST_P(TimerQueueConformanceTest, UpdateWhileDueDefersPeerToNewDeadline) {
   int peer_fired = 0;
   TimerId peer{};
   bool update_ok = false;
-  q->Schedule(10, [&] {
-    TimerId moved = q->Update(peer, 50);
-    update_ok = moved.valid();
-    peer = moved;
-  });
+  q->Schedule(10, [&] { update_ok = q->Update(peer, 50); });
   peer = ScheduleWithUserData(*q, 10, 0xC3, &peer_fired);
   EXPECT_EQ(q->ExpireUpTo(10), 1u);  // only the updater fired
   EXPECT_TRUE(update_ok);
@@ -371,18 +361,17 @@ TEST_P(TimerQueueConformanceTest, UpdateWhileDueDefersPeerToNewDeadline) {
 }
 
 TEST_P(TimerQueueConformanceTest, UpdateWhileDueThenCancelSuppressesPeer) {
-  // Re-arm a due peer, then cancel it through the returned id, all from
-  // inside the same batch: the peer must never fire, its slot must recycle
-  // cleanly, and a timer reusing the slot must be unaffected.
+  // Re-arm a due peer, then cancel it through its id, all from inside the
+  // same batch: the peer must never fire, its slot must recycle cleanly,
+  // and a timer reusing the slot must be unaffected.
   auto q = Make();
   int peer_fired = 0;
   int reuser_fired = 0;
   TimerId peer{};
   bool cancel_ok = false;
   q->Schedule(10, [&] {
-    TimerId moved = q->Update(peer, 50);
-    ASSERT_TRUE(moved.valid());
-    cancel_ok = q->Cancel(moved);
+    ASSERT_TRUE(q->Update(peer, 50));
+    cancel_ok = q->Cancel(peer);
   });
   peer = ScheduleWithUserData(*q, 10, 0xC3, &peer_fired);
   EXPECT_EQ(q->ExpireUpTo(10), 1u);
@@ -390,7 +379,7 @@ TEST_P(TimerQueueConformanceTest, UpdateWhileDueThenCancelSuppressesPeer) {
   EXPECT_EQ(peer_fired, 0);
   EXPECT_EQ(q->size(), 0u);
   TimerId reuser = q->Schedule(60, [&] { ++reuser_fired; });
-  EXPECT_FALSE(q->Cancel(peer));  // stale whichever id convention applies
+  EXPECT_FALSE(q->Cancel(peer));  // stale: it was cancelled
   EXPECT_EQ(q->ExpireUpTo(60), 1u);
   EXPECT_EQ(reuser_fired, 1);
   (void)reuser;
@@ -404,7 +393,7 @@ TEST_P(TimerQueueConformanceTest, UpdateWhileDueToStillDueDeadlineClamps) {
   auto q = Make();
   int peer_fired = 0;
   TimerId peer{};
-  q->Schedule(10, [&] { peer = q->Update(peer, 3); });
+  q->Schedule(10, [&] { EXPECT_TRUE(q->Update(peer, 3)); });
   peer = q->Schedule(10, [&] { ++peer_fired; });
   EXPECT_EQ(q->ExpireUpTo(10), 1u);
   EXPECT_EQ(peer_fired, 0);
@@ -415,19 +404,74 @@ TEST_P(TimerQueueConformanceTest, UpdateWhileDueToStillDueDeadlineClamps) {
 
 TEST_P(TimerQueueConformanceTest, UpdateUnchangedDeadlineStillFiresOnce) {
   // A no-op re-arm (RFC 6298 restart recomputing the same RTO) must leave
-  // the event firing exactly once at its deadline, and the returned id is
-  // the one portable handle afterwards.
+  // the event firing exactly once at its deadline, under its one id.
   auto q = Make();
   int fired = 0;
   TimerId id = q->Schedule(100, [&] { ++fired; });
-  id = q->Update(id, 100);
-  ASSERT_TRUE(id.valid());
+  ASSERT_TRUE(q->Update(id, 100));
   EXPECT_EQ(q->size(), 1u);
   EXPECT_EQ(q->EarliestDeadline(), 100u);
   EXPECT_EQ(q->ExpireUpTo(99), 0u);
   EXPECT_EQ(q->ExpireUpTo(100), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(q->Cancel(id));  // already fired, id is dead
+}
+
+TEST_P(TimerQueueConformanceTest, UpdateKeepsIdAndSlot) {
+  // Update moves the timer in place: after any number of re-arms the
+  // original id still names it, it never takes a second slab node, and the
+  // id cancels exactly once.
+  auto q = Make();
+  int fired = 0;
+  TimerId id = ScheduleWithUserData(*q, 100, 0xE5, &fired);
+  for (uint64_t deadline : {500u, 200u, 300u}) {
+    ASSERT_TRUE(q->Update(id, deadline));
+    EXPECT_EQ(q->PeekUserData(id), 0xE5u);
+    EXPECT_EQ(q->slab_stats().live, 1u);
+  }
+  EXPECT_EQ(q->EarliestDeadline(), 300u);
+  EXPECT_TRUE(q->Cancel(id));
+  EXPECT_FALSE(q->Cancel(id));
+  EXPECT_EQ(q->slab_stats().live, 0u);
+  EXPECT_EQ(q->ExpireUpTo(1000), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST_P(TimerQueueConformanceTest, UpdateFromOwnHandlerRequeuesUnderSameId) {
+  // A handler runs in place. While it runs, its own id is dead to Cancel
+  // and PeekUserData, but Update re-queues the timer under the same id; a
+  // past deadline clamps to the next ExpireUpTo. Once a run does not
+  // re-queue it, the id is dead.
+  auto q = Make();
+  std::vector<uint64_t> fired_ids;
+  bool cancel_ok = true;
+  uint64_t peeked = UINT64_MAX;
+  bool update_ok = false;
+  TimerPayload payload;
+  payload.user_data = 0xF6;
+  payload.handler.emplace([&](const TimerFired& fired) {
+    fired_ids.push_back(fired.id.value);
+    if (fired_ids.size() == 1) {
+      cancel_ok = q->Cancel(fired.id);
+      peeked = q->PeekUserData(fired.id);
+      update_ok = q->Update(fired.id, 5);
+    }
+  });
+  TimerId id = q->Schedule(10, std::move(payload));
+  EXPECT_EQ(q->ExpireUpTo(10), 1u);
+  EXPECT_FALSE(cancel_ok);
+  EXPECT_EQ(peeked, 0u);
+  EXPECT_TRUE(update_ok);
+  EXPECT_EQ(q->size(), 1u);
+  EXPECT_EQ(q->PeekUserData(id), 0xF6u);
+  EXPECT_EQ(q->EarliestDeadline(), 11u);
+  EXPECT_EQ(q->ExpireUpTo(11), 1u);
+  EXPECT_EQ(fired_ids, (std::vector<uint64_t>{id.value, id.value}));
+  EXPECT_FALSE(q->Cancel(id));
+  EXPECT_FALSE(q->Update(id, 100));
+  EXPECT_EQ(q->PeekUserData(id), 0u);
+  EXPECT_EQ(q->size(), 0u);
+  EXPECT_EQ(q->slab_stats().live, 0u);
 }
 
 TEST_P(TimerQueueConformanceTest, EarliestDeadlineTracksMin) {
@@ -578,16 +622,15 @@ TEST_P(TimerQueueConformanceTest, RandomizedDifferentialAgainstReference) {
       live_ids.erase(it);
     } else if (dice < 0.82 && !live_ids.empty()) {
       // Update a random live timer to a new deadline (the RTO re-arm mix):
-      // observably a cancel+reschedule, so the reference re-keys the entry
-      // with a fresh seq at the clamped deadline.
+      // it keeps its id, and the reference re-keys the entry with a fresh
+      // seq at the clamped deadline.
       auto it = live_ids.begin();
       std::advance(it, static_cast<long>(rng.UniformU64(live_ids.size())));
       uint64_t delta = rng.NextDouble() < 0.8 ? rng.UniformU64(8192)
                                               : rng.UniformU64(3'000'000);
       uint64_t deadline = now + delta;
-      TimerId moved = q->Update(it->second, deadline);
-      ASSERT_TRUE(moved.valid()) << "live id went stale at step " << step;
-      it->second = moved;
+      ASSERT_TRUE(q->Update(it->second, deadline))
+          << "live id went stale at step " << step;
       for (auto r = ref.begin(); r != ref.end(); ++r) {
         if (r->second.key == it->first) {
           uint64_t key = r->second.key;
@@ -683,9 +726,7 @@ TEST(TimerQueueUpdateParityTest, AllBackendsProduceIdenticalFireSequences) {
       // Update-heavy: re-arm an existing timer (the RTO ACK pattern).
       auto it = live.begin();
       std::advance(it, static_cast<long>(rng.UniformU64(live.size())));
-      TimerId moved = q.Update(it->second, now + delta);
-      ASSERT_TRUE(moved.valid());
-      it->second = moved;
+      ASSERT_TRUE(q.Update(it->second, now + delta));
       oracle_erase(it->first);
       oracle_insert(it->first, now + delta);
     } else if (dice < 0.9) {
