@@ -244,7 +244,7 @@ HotpathSample MeasureHotpath(size_t iters) {
   // Update-heavy mix: a pool of live far-out events whose deadlines keep
   // moving, one re-arm per measured op. The pool never drains, so this is
   // pure re-arm cost - the dominant write pattern of an RTO engine
-  // restarting survivor timers on every partial ACK.
+  // restarting a connection's timer on every partial ACK.
   constexpr size_t kPool = 4096;
   auto measure_rearm = [&](bool reschedule) {
     Env env;

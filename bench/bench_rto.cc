@@ -5,16 +5,19 @@
 //
 // Phases (each self-checks its acceptance gate; any failure exits 1):
 //
-//   churn       N concurrent connections, no loss: every segment's RTO
-//               timer is scheduled and then cancelled by the cumulative
-//               ACK. Gates: >= 95% of timers cancelled before firing
-//               (here: all of them), 0 allocs/op on the schedule->cancel
-//               path, and zero fires across the whole phase.
+//   churn       N concurrent connections, no loss: each round sends one
+//               segment per connection, which schedules the connection's
+//               RTO timer, and the cumulative ACK cancels it. Gates: >= 95%
+//               of timers cancelled before firing (here: all of them), 0
+//               allocs/op on the schedule->cancel path, and zero fires
+//               across the whole phase.
 //   rearm       Full 4-segment windows under partial ACKs: every ACK
-//               retires the head and restarts the three survivors (RFC
-//               6298 5.3) through RescheduleOnShard, on the heap
-//               queue. Gates: every round restarts 3 survivors/conn, 0
-//               allocs/op, zero fires, exact conservation.
+//               retires the head and restarts the connection's one timer
+//               (RFC 6298 5.3) through RescheduleOnShard, on the heap
+//               queue; the fresh send that refills the window finds the
+//               timer running and schedules nothing. Gates: every round
+//               restarts exactly one timer per connection, 0 allocs/op,
+//               zero fires, exact conservation.
 //   loss        Same engine under a FaultInjector plan (probabilistic
 //               data/ACK loss plus a deterministic burst episode): timers
 //               fire, retransmissions back off exponentially, some
@@ -31,7 +34,7 @@
 //               transfer per connection, window 4, driven once
 //               self-clocked (slow-start rounds 1,2,4,...) and once
 //               rate-based (full window immediately, the soft-timer-paced
-//               mode). Every segment runs over real RTO timers. Gate:
+//               mode). Every window runs under a real RTO timer. Gate:
 //               rate-based completes the transfer in fewer RTTs.
 //
 // Methodology matches bench_pacing_scale/bench_shard_scaling: virtual time
@@ -214,8 +217,8 @@ struct RearmResult {
   uint64_t total_fired = 0;
   bool conserved = false;
   // The measured round is one partial ACK + one fresh send per connection:
-  // 3 survivor restarts, 1 cancel, 1 schedule. The restarts dominate, so
-  // normalize on them.
+  // the ACK restarts the connection's timer and the send finds it running,
+  // so a round is one restart per connection.
   double ns_per_reschedule() const {
     return reschedules == 0 ? 0.0
                             : static_cast<double>(cpu_ns) /
@@ -257,7 +260,7 @@ RearmResult RunRearm(size_t conns) {
     uint64_t ack = (round_idx + 1) * 1'000ull;
     uint64_t next_send = (kRtoWindowSegments + round_idx + 1) * 1'000ull;
     for (size_t i = 0; i < conns; ++i) {
-      engine.OnCumulativeAck(ids[i], ack);  // retires head, restarts 3
+      engine.OnCumulativeAck(ids[i], ack);  // retires head, restarts timer
       engine.OnSegmentSent(ids[i], next_send);
     }
     ++round_idx;
@@ -270,7 +273,7 @@ RearmResult RunRearm(size_t conns) {
   r.conns = conns;
   r.queue = "heap";
   r.measured_rounds = kReps;
-  r.reschedules = static_cast<uint64_t>(conns) * (kRtoWindowSegments - 1);
+  r.reschedules = conns;
   uint64_t best_cpu = UINT64_MAX;
   uint64_t worst_allocs = 0;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -693,9 +696,8 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
       churn.ns_per_op(), churn.ops_per_sec() / 1e6, churn.allocs_per_op(),
       churn.cancelled_ratio(), churn.total_fired);
 
-  // Re-arm phase is quadratic-ish in window depth, not conns, but a full
-  // million-conn run is still heavy; a quarter of the churn population keeps
-  // it proportionate while staying way past cache sizes.
+  // A full million-conn re-arm run is heavy; a quarter of the churn
+  // population keeps it proportionate while staying way past cache sizes.
   size_t rearm_conns = conns / 4 > 0 ? conns / 4 : 1;
   std::printf("rto rearm: %zu connections x %u-segment windows...\n",
               rearm_conns, kRtoWindowSegments);
@@ -746,14 +748,14 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
     std::fprintf(f, "{\n  \"schema\": \"softtimer-rto-v1\",\n");
     std::fprintf(
         f,
-        "  \"note\": \"RtoEngine (per-segment RFC 6298 retransmission "
-        "timers) on ShardedSoftTimerRuntime; 1 tick = 1 us nominal. churn: "
+        "  \"note\": \"RtoEngine (one RFC 6298 retransmission timer per "
+        "connection) on ShardedSoftTimerRuntime; 1 tick = 1 us nominal. churn: "
         "send+cumulative-ACK rounds, cost is thread CPU "
         "(CLOCK_THREAD_CPUTIME_ID) over schedule+cancel ops (best of 3 "
         "rounds), allocs from the operator-new probe (worst of 3). rearm: "
-        "4-segment windows under partial ACKs, every ACK restarts the 3 "
-        "survivors (RFC 6298 5.3) in place on the heap, cost normalized "
-        "per survivor restart. loss: "
+        "4-segment windows under partial ACKs, every ACK restarts the "
+        "connection's one timer (RFC 6298 5.3) in place on the heap and the "
+        "refilling send schedules nothing, cost normalized per restart. loss: "
         "FaultInjector plan (2%% data, 1%% ACK, burst=conns/100), lateness "
         "from the engine fire probe against a 128-tick trigger cadence. "
         "wheel: PacingWheel flows re-rated through doubling intervals past "
@@ -844,13 +846,13 @@ int Run(const std::string& json_path, bool smoke, size_t conns_override) {
     std::fprintf(stderr, "FAIL: churn timer accounting not conserved\n");
     rc = 1;
   }
-  // warmup + measured rounds, 3 survivors restarted per connection each.
+  // warmup + measured rounds, one restart per connection each.
   uint64_t rearm_expected =
       static_cast<uint64_t>(1 + rearm.measured_rounds) * rearm.reschedules;
   if (rearm.total_rescheduled != rearm_expected) {
     std::fprintf(stderr,
                  "FAIL: rearm (%s) restarted %" PRIu64 " timers, want %" PRIu64
-                 "\n",
+                 " (one per connection per round)\n",
                  rearm.queue, rearm.total_rescheduled, rearm_expected);
     rc = 1;
   }

@@ -5,9 +5,9 @@
 namespace softtimer {
 
 namespace {
-constexpr uint32_t kFireSlotMask = kRtoWindowSegments - 1;
+constexpr uint32_t kWindowMask = kRtoWindowSegments - 1;
 static_assert((kRtoWindowSegments & (kRtoWindowSegments - 1)) == 0,
-              "window must be a power of two (slot bits in the fire pack)");
+              "window must be a power of two (circular index mask)");
 }  // namespace
 
 RtoEngine::RtoEngine(ShardedSoftTimerRuntime* runtime,
@@ -48,20 +48,17 @@ void RtoEngine::CloseConnection(uint64_t conn_id) {
   if (conn == nullptr) {
     return;
   }
-  for (uint32_t i = 0; i < conn->live; ++i) {
-    Segment& seg = conn->segments[(conn->head + i) & kFireSlotMask];
-    if (seg.timer.valid()) {
-      if (rt_->CancelOnShard(config_.shard, seg.timer)) {
-        ++stats_.timers_cancelled;
-      }
-      seg.timer = SoftEventId{};
+  if (conn->timer.valid()) {
+    if (rt_->CancelOnShard(config_.shard, conn->timer)) {
+      ++stats_.timers_cancelled;
     }
+    conn->timer = SoftEventId{};
   }
   conn->live = 0;
   conn->open = false;
   conn->ctx = nullptr;
-  // Bump the generation so outstanding ids and packed fire refs go stale;
-  // keep it nonzero so ids never collapse to 0.
+  // Bump the generation so outstanding ids, the fire closure's copy
+  // included, go stale; keep it nonzero so ids never collapse to 0.
   if (++conn->generation == 0) {
     conn->generation = 1;
   }
@@ -82,16 +79,14 @@ uint64_t RtoEngine::EffectiveRto(const Conn& conn) const {
 }
 
 // SOFTTIMER_HOT
-void RtoEngine::ArmSegmentTimer(uint32_t index, Conn& conn, uint32_t slot) {
-  Segment& seg = conn.segments[slot];
+void RtoEngine::ArmTimer(uint64_t conn_id, Conn& conn) {
   RtoEngine* self = this;
   // 16-byte capture: stays inside std::function's inline buffer, so the
   // schedule path allocates nothing.
-  uint64_t packed = PackFire(index, conn.generation, slot);
-  seg.timer = rt_->ScheduleOnShard(
+  conn.timer = rt_->ScheduleOnShard(
       config_.shard, EffectiveRto(conn),
-      [self, packed](const SoftTimerFacility::FireInfo& info) {
-        self->OnRtoFire(packed, info);
+      [self, conn_id](const SoftTimerFacility::FireInfo& info) {
+        self->OnRtoFire(conn_id, info);
       },
       config_.handler_tag);
   ++stats_.timers_scheduled;
@@ -99,8 +94,7 @@ void RtoEngine::ArmSegmentTimer(uint32_t index, Conn& conn, uint32_t slot) {
 
 // SOFTTIMER_HOT
 bool RtoEngine::OnSegmentSent(uint64_t conn_id, uint64_t seq_end) {
-  uint32_t index;
-  Conn* conn = Resolve(conn_id, &index);
+  Conn* conn = Resolve(conn_id);
   if (conn == nullptr) {
     return false;
   }
@@ -108,13 +102,15 @@ bool RtoEngine::OnSegmentSent(uint64_t conn_id, uint64_t seq_end) {
     ++stats_.window_full_rejects;
     return false;
   }
-  uint32_t slot = (conn->head + conn->live) & kFireSlotMask;
-  Segment& seg = conn->segments[slot];
+  Segment& seg = conn->segments[(conn->head + conn->live) & kWindowMask];
   seg.seq_end = seq_end;
   seg.sent_tick = rt_->clock().NowTicks();
   seg.retransmitted = 0;
   ++conn->live;
-  ArmSegmentTimer(index, *conn, slot);
+  if (!conn->timer.valid()) {  // RFC 6298 5.1
+    ArmTimer(conn_id, *conn);
+  }
+  assert(conn->timer.valid() == (conn->live > 0));
   ++stats_.segments_sent;
   return true;
 }
@@ -126,56 +122,47 @@ size_t RtoEngine::OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq) {
     return 0;
   }
   size_t retired = 0;
-  // Karn: sample the newest retired segment that was sent exactly once.
+  // Karn: sample the newest retired segment, unless any retired segment
+  // was retransmitted (then the ACK is ambiguous and takes no sample).
   uint64_t sample_sent_tick = 0;
-  bool have_sample = false;
+  bool have_sample = true;
   while (conn->live > 0) {
     Segment& seg = conn->segments[conn->head];
     if (seg.seq_end > ack_seq) {
       break;
     }
-    if (seg.timer.valid()) {
-      if (rt_->CancelOnShard(config_.shard, seg.timer)) {
-        ++stats_.timers_cancelled;
-      }
-      seg.timer = SoftEventId{};
-    }
     if (seg.retransmitted) {
       ++stats_.karn_suppressed;
-    } else {
-      sample_sent_tick = seg.sent_tick;
-      have_sample = true;
+      have_sample = false;
     }
-    conn->head = (conn->head + 1) & kFireSlotMask;
+    sample_sent_tick = seg.sent_tick;
+    conn->head = (conn->head + 1) & kWindowMask;
     --conn->live;
     ++retired;
     ++stats_.segments_acked;
   }
-  if (retired > 0) {
-    // Forward progress: the path is alive, collapse the backoff episode.
-    conn->backoff_shift = 0;
-    conn->retries = 0;
-    if (have_sample) {
-      uint64_t now = rt_->clock().NowTicks();
-      TakeRttSample(*conn, now - sample_sent_tick);
-    }
-    // RFC 6298 step 5.3: new data was acknowledged with segments still in
-    // flight, so restart the retransmission timer from now at the refreshed
-    // (backoff-collapsed, re-estimated) RTO. One reschedule per survivor,
-    // which keeps the timer's handler and id and never allocates.
-    if (conn->live > 0) {
-      uint64_t rto = EffectiveRto(*conn);
-      for (uint32_t i = 0; i < conn->live; ++i) {
-        Segment& seg = conn->segments[(conn->head + i) & kFireSlotMask];
-        if (!seg.timer.valid()) {
-          continue;
-        }
-        if (rt_->RescheduleOnShard(config_.shard, seg.timer, rto)) {
-          ++stats_.timers_rescheduled;
-        }
-      }
-    }
+  if (retired == 0) {
+    return 0;
   }
+  // Forward progress: the path is alive, collapse the backoff episode.
+  conn->backoff_shift = 0;
+  conn->retries = 0;
+  if (have_sample) {
+    TakeRttSample(*conn, rt_->clock().NowTicks() - sample_sent_tick);
+  }
+  if (conn->live == 0) {
+    // RFC 6298 5.2: everything outstanding is acknowledged.
+    if (rt_->CancelOnShard(config_.shard, conn->timer)) {
+      ++stats_.timers_cancelled;
+    }
+    conn->timer = SoftEventId{};
+  } else if (rt_->RescheduleOnShard(config_.shard, conn->timer,
+                                    EffectiveRto(*conn))) {
+    // RFC 6298 5.3: restart from now at the refreshed (backoff-collapsed,
+    // re-estimated) RTO, in place under the same id.
+    ++stats_.timers_rescheduled;
+  }
+  assert(conn->timer.valid() == (conn->live > 0));
   return retired;
 }
 
@@ -206,27 +193,20 @@ void RtoEngine::TakeRttSample(Conn& conn, uint64_t sample_ticks) {
 }
 
 // SOFTTIMER_HOT
-void RtoEngine::OnRtoFire(uint64_t packed,
+void RtoEngine::OnRtoFire(uint64_t conn_id,
                           const SoftTimerFacility::FireInfo& info) {
-  uint32_t slot = static_cast<uint32_t>(packed) & kFireSlotMask;
-  uint32_t index = (static_cast<uint32_t>(packed)) >> 2;
-  uint32_t generation = static_cast<uint32_t>(packed >> 32);
-  if (index >= conns_.size()) {
+  Conn* found = Resolve(conn_id);
+  if (found == nullptr) {
     ++stats_.stale_fires;
     return;
   }
-  Conn& conn = conns_[index];
-  if (!conn.open || conn.generation != generation) {
-    ++stats_.stale_fires;
-    return;
-  }
+  Conn& conn = *found;
   if (fire_probe_fn_ != nullptr) {
     fire_probe_fn_(fire_probe_ctx_, info);
   }
-  Segment& seg = conn.segments[slot];
-  // Same-thread discipline means a fire always refers to the currently
-  // armed timer for this slot (a cancelled timer never dispatches).
-  seg.timer = SoftEventId{};
+  // Same-thread discipline means a fire always refers to the connection's
+  // running timer (a cancelled timer never dispatches).
+  conn.timer = SoftEventId{};
   ++stats_.timers_fired;
 
   // Backoff first, so the retransmission is re-armed at the doubled RTO.
@@ -239,30 +219,34 @@ void RtoEngine::OnRtoFire(uint64_t packed,
   }
   ++conn.retries;
   if (conn.retries > config_.max_retransmits) {
-    AbortConnection(index, conn);
+    AbortConnection(conn_id, conn);
     return;
   }
 
-  seg.retransmitted = 1;  // Karn: its ACK is ambiguous from here on
-  seg.sent_tick = rt_->clock().NowTicks();
+  // RFC 6298 5.4: resend the earliest unacked segment only.
+  Segment& seg = conn.segments[conn.head];
+  seg.retransmitted = 1;  // Karn: an ACK that retires it takes no sample
   ++stats_.retransmits;
+  // 5.5-5.6: a fresh timer at the backed-off RTO, armed before the hook so
+  // an ACK the hook delivers finds it running.
+  ArmTimer(conn_id, conn);
+  assert(conn.timer.valid() == (conn.live > 0));
   if (retransmit_fn_ != nullptr) {
     retransmit_fn_(hook_ctx_, conn.ctx, seg.seq_end, conn.retries);
   }
-  ArmSegmentTimer(index, conn, slot);
 }
 
 // SOFTTIMER_COLD: transport give-up - reached only after the full RFC 6298
-// backoff ladder is exhausted (max_retries consecutive losses on one
-// segment), which DegradationPolicy counts as a connection reset; the
+// backoff ladder is exhausted (max_retransmits consecutive expiries with no
+// progress), which DegradationPolicy counts as a connection reset; the
 // steady-state fire path rearms and returns long before this.
-void RtoEngine::AbortConnection(uint32_t index, Conn& conn) {
+void RtoEngine::AbortConnection(uint64_t conn_id, Conn& conn) {
   void* ctx = conn.ctx;
   ++stats_.give_ups;
   if (policy_ != nullptr) {
     policy_->NoteConnectionReset();
   }
-  CloseConnection((static_cast<uint64_t>(conn.generation) << 32) | index);
+  CloseConnection(conn_id);
   if (abort_fn_ != nullptr) {
     abort_fn_(abort_ctx_, ctx);
   }

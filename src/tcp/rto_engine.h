@@ -1,24 +1,31 @@
-// RtoEngine - per-segment retransmission timers at connection scale.
+// RtoEngine - one retransmission timer per connection, at connection scale.
 //
 // The paper's flagship workload (Section 5, Tables 6/7) is the TCP
-// retransmission timer: scheduled on every segment transmission, almost
-// always cancelled microseconds-to-milliseconds later by the cumulative
-// ACK. This engine is that workload made concrete on the sharded runtime:
-// each connection keeps a small sliding window of in-flight segments, every
-// segment carries its own RTO timer scheduled through
-// ShardedSoftTimerRuntime's local fast path, and a cumulative ACK retires
-// segments and cancels their timers without touching the heap.
+// retransmission timer: set on every segment transmission, almost always
+// cancelled or restarted by the cumulative ACK microseconds-to-milliseconds
+// later. Each connection keeps a small sliding window of in-flight segments
+// and one RTO timer on ShardedSoftTimerRuntime's local fast path, run as
+// RFC 6298 5 specifies:
 //
-// Retransmission policy (RFC 6298 shape, integer tick arithmetic):
+//  * 5.1 - a send arms the timer when none is running.
+//  * 5.2 - an ACK that empties the window cancels it.
+//  * 5.3 - an ACK that retires data with more in flight restarts it in
+//    place (RescheduleOnShard keeps its handler and id).
+//  * 5.4-5.6 - on expiry only the earliest unacked segment is resent, the
+//    RTO backs off once, and a fresh timer is scheduled (not a re-arm of
+//    the fired id, so each schedule ends in exactly one cancel or fire).
+//
+// Retransmission policy (integer tick arithmetic):
 //
 //  * RTT estimation - SRTT/RTTVAR from Jacobson's estimator:
 //        first sample:  SRTT = R, RTTVAR = R/2
 //        afterwards:    RTTVAR = (3*RTTVAR + |SRTT - R|) / 4
 //                       SRTT   = (7*SRTT + R) / 8
 //        RTO = clamp(SRTT + max(1, 4*RTTVAR), rto_min, rto_max)
-//  * Karn's rule - a segment that has been retransmitted never produces an
-//    RTT sample (its ACK is ambiguous); samples come from the newest
-//    segment a cumulative ACK retires that was sent exactly once.
+//  * Karn's rule - a cumulative ACK that retires any retransmitted segment
+//    takes no RTT sample (Linux's FLAG_RETRANS_DATA_ACKED): it also retires
+//    survivors sent an RTO earlier, whose RTT + RTO would inflate SRTT.
+//    Otherwise the newest retired segment is sampled.
 //  * Exponential backoff - each expiry doubles the effective RTO
 //    (rto << backoff_shift), capped at rto_max. Backoff is per connection
 //    and collapses to zero on any forward progress (a cumulative ACK that
@@ -26,18 +33,19 @@
 //  * Give-up - after max_retransmits consecutive expiries with no forward
 //    progress the engine aborts the connection: the abort callback fires,
 //    DegradationPolicy::NoteConnectionReset() records the reset, and the
-//    connection's remaining timers are cancelled.
+//    connection is closed.
 //
 // Threading: an engine instance belongs to ONE shard-owner thread (the
 // same contract as the facility it schedules into). Remote ACKs reach the
 // owning shard the sharded way - as commands through ScheduleCrossCore that
 // invoke OnCumulativeAck on the owner; see tests/rto_cross_shard_test.cc.
 //
-// Hot path: OnSegmentSent (schedule) and OnCumulativeAck (cancel) are the
-// paper's 33/18 ns pair and are SOFTTIMER_HOT - no allocation. The fire
-// closure captures {engine pointer, packed segment ref} = 16 bytes, inside
-// std::function's inline buffer. Connection open/close may allocate (slab
-// growth, free-list push); they are per-connection, not per-segment.
+// Hot path: OnSegmentSent (schedule) and OnCumulativeAck (cancel or
+// restart) are the paper's 33/18 ns pair and are SOFTTIMER_HOT - no
+// allocation. The fire closure captures {engine pointer, connection id} =
+// 16 bytes, inside std::function's inline buffer. Connection open/close may
+// allocate (slab growth, free-list push); they are per-connection, not
+// per-segment.
 
 #ifndef SOFTTIMER_SRC_TCP_RTO_ENGINE_H_
 #define SOFTTIMER_SRC_TCP_RTO_ENGINE_H_
@@ -74,8 +82,10 @@ class RtoEngine {
 
   // Raw function pointers, not std::function: the callbacks fire on the
   // timer hot path and must not own captured state.
-  //   RetransmitFn(ctx, conn_ctx, seq_end, attempt) - segment's RTO expired
-  //     (attempt = 1 for the first retransmission of this episode).
+  //   RetransmitFn(ctx, conn_ctx, seq_end, attempt) - the connection's RTO
+  //     expired; resend the earliest unacked segment, which ends at
+  //     `seq_end` (attempt = 1 for the first retransmission of this
+  //     episode).
   //   AbortFn(ctx, conn_ctx) - give-up; the connection is already closed
   //     when this runs (its conn id is stale).
   using RetransmitFn = void (*)(void* ctx, void* conn_ctx, uint64_t seq_end,
@@ -108,23 +118,23 @@ class RtoEngine {
   // Opens a connection; `conn_ctx` is handed back in callbacks. Returns a
   // generation-checked id (never 0).
   uint64_t OpenConnection(void* conn_ctx);
-  // Cancels every pending timer and retires the id. Safe on live ids only.
+  // Cancels the connection's timer and retires the id. Safe on live ids only.
   void CloseConnection(uint64_t conn_id);
 
   // A segment ending at byte `seq_end` (exclusive) was transmitted: arms
-  // its RTO timer at the connection's current (backed-off) RTO. Returns
-  // false when the window is full (caller must wait for an ACK) or the id
-  // is stale. seq_end must be strictly increasing per connection.
+  // the connection's RTO timer at its current (backed-off) RTO unless one
+  // is already running (RFC 6298 5.1). Returns false when the window is
+  // full (caller must wait for an ACK) or the id is stale. seq_end must be
+  // strictly increasing per connection.
   // Hot path - marked SOFTTIMER_HOT at the definition.
   bool OnSegmentSent(uint64_t conn_id, uint64_t seq_end);
 
   // Cumulative ACK: retires every in-flight segment with seq_end <=
-  // ack_seq, cancelling its timer; takes an RTT sample per Karn's rule and
-  // resets backoff on forward progress. On forward progress with segments
-  // still in flight it restarts the survivors' timers from now at the
-  // refreshed RTO (RFC 6298 step 5.3) through the runtime's reschedule
-  // path - one allocation-free re-arm per survivor that keeps its handler
-  // and its id, so the segment's stored id stays valid.
+  // ack_seq, takes an RTT sample per Karn's rule and resets backoff on
+  // forward progress. On forward progress it cancels the timer when the
+  // window is empty (RFC 6298 5.2) and otherwise restarts it from now at
+  // the refreshed RTO (5.3) through the runtime's reschedule path - one
+  // allocation-free re-arm that keeps the timer's handler and id.
   // Returns segments retired.
   // Hot path - marked SOFTTIMER_HOT at the definition.
   size_t OnCumulativeAck(uint64_t conn_id, uint64_t ack_seq);
@@ -145,8 +155,9 @@ class RtoEngine {
     uint64_t timers_scheduled = 0;
     uint64_t timers_cancelled = 0;  // cancelled before firing (the 95% path)
     uint64_t timers_fired = 0;
-    // Survivor restarts on partial ACKs (RFC 6298 5.3); a reschedule is
-    // neither a schedule nor a cancel, so the conservation equation
+    // Restarts of a connection's running timer by ACKs that leave data in
+    // flight (RFC 6298 5.3); a reschedule is neither a schedule nor a
+    // cancel, so the conservation equation
     // timers_scheduled == timers_cancelled + timers_fired still holds.
     uint64_t timers_rescheduled = 0;
     uint64_t retransmits = 0;
@@ -163,8 +174,6 @@ class RtoEngine {
   struct Segment {
     uint64_t seq_end = 0;
     uint64_t sent_tick = 0;
-    SoftEventId timer{};        // invalid when no timer armed; kept
-                                // across restarts
     uint8_t retransmitted = 0;  // Karn flag
   };
 
@@ -173,6 +182,7 @@ class RtoEngine {
     uint64_t srtt = 0;    // ticks
     uint64_t rttvar = 0;  // ticks
     uint64_t rto = 0;     // estimator output, pre-backoff
+    SoftEventId timer{};  // the RTO timer; valid exactly while live > 0
     uint32_t generation = 1;
     uint8_t live = 0;           // in-flight segments
     uint8_t head = 0;           // circular index of the oldest
@@ -183,19 +193,13 @@ class RtoEngine {
     Segment segments[kRtoWindowSegments];
   };
 
-  // Fire-closure payload: [63:32] generation, [31:2] conn index, [1:0]
-  // window slot. 30 index bits bound the engine at 2^30 connections.
-  static uint64_t PackFire(uint32_t index, uint32_t generation,
-                           uint32_t slot) {
-    return (static_cast<uint64_t>(generation) << 32) |
-           (static_cast<uint64_t>(index) << 2) | slot;
-  }
-
-  void OnRtoFire(uint64_t packed, const SoftTimerFacility::FireInfo& info);
-  void ArmSegmentTimer(uint32_t index, Conn& conn, uint32_t slot);
+  // The fire closure carries the connection id ([63:32] generation,
+  // [31:0] index), so a fire after a close resolves as stale.
+  void OnRtoFire(uint64_t conn_id, const SoftTimerFacility::FireInfo& info);
+  void ArmTimer(uint64_t conn_id, Conn& conn);
   uint64_t EffectiveRto(const Conn& conn) const;
   void TakeRttSample(Conn& conn, uint64_t sample_ticks);
-  void AbortConnection(uint32_t index, Conn& conn);
+  void AbortConnection(uint64_t conn_id, Conn& conn);
   Conn* Resolve(uint64_t conn_id, uint32_t* index_out = nullptr);
   const Conn* Resolve(uint64_t conn_id) const;
 

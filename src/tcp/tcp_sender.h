@@ -14,8 +14,9 @@
 //                  accounting, but do not clock transmissions.
 //
 // Wheel-paced sending (one pacing-wheel event for every flow on a shard,
-// batched drains, per-segment retransmission timers) is PacingWheelHost
-// plus RtoEngine (src/pacing, src/tcp/rto_engine.h), not a mode here.
+// batched drains, one retransmission timer per connection) is
+// PacingWheelHost plus RtoEngine (src/pacing, src/tcp/rto_engine.h), not a
+// mode here.
 //
 // The sender runs on a host Kernel so every segment transmission passes
 // through an ip-output trigger state (which, as in the paper, is itself a

@@ -1,6 +1,7 @@
-// RtoEngine unit tests: the RFC 6298 estimator arithmetic, Karn's rule,
-// exponential backoff and its cap, the give-up path into
-// DegradationPolicy::NoteConnectionReset, window bounds, and id staleness.
+// RtoEngine unit tests: the RFC 6298 estimator arithmetic, the one timer
+// per connection (5.1-5.6), Karn's rule, exponential backoff and its cap,
+// the give-up path into DegradationPolicy::NoteConnectionReset, window
+// bounds, and id staleness.
 // All single-threaded against a manual clock, driving the shard's trigger
 // states by hand so every fire is deterministic.
 
@@ -88,10 +89,11 @@ TEST(RtoEngineTest, AckCancelsTimersBeforeTheyFire) {
   EXPECT_EQ(h.engine.OnCumulativeAck(conn, 3'000), 3u);
   EXPECT_EQ(h.engine.in_flight(conn), 0u);
 
-  // Nothing left to fire, ever.
+  // One timer for the connection (RFC 6298 5.1), cancelled once the
+  // window empties (5.2). Nothing left to fire, ever.
   h.RunUntil(50'000);
-  EXPECT_EQ(h.engine.stats().timers_scheduled, 3u);
-  EXPECT_EQ(h.engine.stats().timers_cancelled, 3u);
+  EXPECT_EQ(h.engine.stats().timers_scheduled, 1u);
+  EXPECT_EQ(h.engine.stats().timers_cancelled, 1u);
   EXPECT_EQ(h.engine.stats().timers_fired, 0u);
   EXPECT_EQ(h.engine.stats().retransmits, 0u);
 }
@@ -176,22 +178,64 @@ TEST(RtoEngineTest, KarnRuleSuppressesSamplesFromRetransmittedSegments) {
   EXPECT_EQ(h.engine.srtt_ticks(conn), 300u);
 }
 
-TEST(RtoEngineTest, MixedAckSamplesOnlyTheFreshSegment) {
+TEST(RtoEngineTest, AckRetiringARetransmittedSegmentTakesNoSample) {
   Harness h;
   uint64_t conn = h.engine.OpenConnection(nullptr);
 
-  // Two in flight; only the first one's timer expires (fire order is by
-  // deadline), then one cumulative ACK retires both.
+  // Two in flight; the RTO (due ~1000) resends only the head, then one
+  // cumulative ACK retires both.
   EXPECT_TRUE(h.engine.OnSegmentSent(conn, 1'000));
   h.clock.Advance(900);
   EXPECT_TRUE(h.engine.OnSegmentSent(conn, 2'000));
-  h.RunUntil(1'600);  // first segment's RTO (due ~1000) fired; second alive
+  h.RunUntil(1'600);
   ASSERT_EQ(h.engine.stats().retransmits, 1u);
+  uint64_t srtt_before = h.engine.srtt_ticks(conn);
 
   EXPECT_EQ(h.engine.OnCumulativeAck(conn, 2'000), 2u);
-  // One Karn suppression (segment 1), one sample (segment 2).
+  // The ACK also answers segment 1's resend, so it samples neither:
+  // segment 2's RTT would include the wait for that resend.
   EXPECT_EQ(h.engine.stats().karn_suppressed, 1u);
-  EXPECT_EQ(h.engine.stats().rtt_samples, 1u);
+  EXPECT_EQ(h.engine.stats().rtt_samples, 0u);
+  EXPECT_EQ(h.engine.srtt_ticks(conn), srtt_before);
+}
+
+TEST(RtoEngineTest, FullWindowExpiryBacksOffOnce) {
+  RtoEngine::Config ec = Harness::DefaultEngineCfg();
+  ec.max_retransmits = 3;
+  Harness h(ec);
+  RetransmitLog log;
+  h.engine.set_retransmit_hook(RetransmitLog::Hook, &log);
+  uint64_t conn = h.engine.OpenConnection(nullptr);
+
+  // Four in flight, never ACKed. One expiry is one retransmission of the
+  // head, one backoff step and one retry against the budget.
+  for (uint32_t i = 1; i <= 4; ++i) {
+    EXPECT_TRUE(h.engine.OnSegmentSent(conn, i * 1'000));
+  }
+  h.RunUntil(2'000);  // first expiry at ~1000, the next due at ~3000
+  ASSERT_EQ(log.attempts.size(), 1u);
+  EXPECT_EQ(log.seq_ends[0], 1'000u);
+  EXPECT_EQ(log.attempts[0], 1u);
+  EXPECT_EQ(h.engine.effective_rto_ticks(conn), 2'000u);
+  EXPECT_TRUE(h.engine.IsOpen(conn));
+
+  // Expiries at ~3000 and ~7000 spend the budget; the 4th, at ~15000
+  // (8000 = rto_max), gives up.
+  h.RunUntil(14'000);
+  ASSERT_EQ(log.attempts.size(), 3u);
+  for (size_t i = 0; i < log.attempts.size(); ++i) {
+    EXPECT_EQ(log.seq_ends[i], 1'000u);  // always the head
+    EXPECT_EQ(log.attempts[i], static_cast<uint32_t>(i + 1));
+  }
+  EXPECT_TRUE(h.engine.IsOpen(conn));
+  EXPECT_EQ(h.engine.stats().give_ups, 0u);
+  h.RunUntil(16'000);
+  EXPECT_FALSE(h.engine.IsOpen(conn));
+  EXPECT_EQ(h.engine.stats().give_ups, 1u);
+  EXPECT_EQ(h.engine.stats().retransmits, 3u);
+  EXPECT_EQ(h.engine.stats().timers_fired, 4u);
+  EXPECT_EQ(h.engine.stats().timers_scheduled,
+            h.engine.stats().timers_cancelled + h.engine.stats().timers_fired);
 }
 
 TEST(RtoEngineTest, GiveUpAbortsConnectionAndNotifiesPolicy) {
@@ -228,31 +272,31 @@ TEST(RtoEngineTest, GiveUpAbortsConnectionAndNotifiesPolicy) {
   EXPECT_EQ(h.engine.OnCumulativeAck(conn, 2'000), 0u);
 }
 
-TEST(RtoEngineTest, PartialAckRestartsSurvivorTimers) {
+TEST(RtoEngineTest, PartialAckRestartsTheConnectionTimer) {
   Harness h;
   uint64_t conn = h.engine.OpenConnection(nullptr);
 
-  // Four in flight at t=0, all due at ~1001 (initial RTO = 1000).
+  // Four in flight at t=0 under one timer, due at ~1001 (RTO 1000).
   for (uint32_t i = 1; i <= 4; ++i) {
     EXPECT_TRUE(h.engine.OnSegmentSent(conn, i * 1'000));
   }
   // Partial ACK at t=500 retires the head; the sample R=500 sets
-  // SRTT=500, RTTVAR=250, RTO=1500, and RFC 6298 5.3 restarts the three
-  // survivors from now: due ~t=2001, not their original ~1001.
+  // SRTT=500, RTTVAR=250, RTO=1500, and RFC 6298 5.3 restarts the timer
+  // from now: due ~t=2001, not its original ~1001.
   h.clock.Advance(500);
   EXPECT_EQ(h.engine.OnCumulativeAck(conn, 1'000), 1u);
-  EXPECT_EQ(h.engine.stats().timers_rescheduled, 3u);
+  EXPECT_EQ(h.engine.stats().timers_rescheduled, 1u);
   EXPECT_EQ(h.engine.effective_rto_ticks(conn), 1'500u);
 
-  h.RunUntil(1'800);  // past the original deadlines, before the restart
+  h.RunUntil(1'800);  // past the original deadline, before the restarted one
   EXPECT_EQ(h.engine.stats().timers_fired, 0u);
   EXPECT_EQ(h.engine.stats().retransmits, 0u);
 
-  h.RunUntil(2'300);  // past the restarted deadlines: all three fire
-  EXPECT_EQ(h.engine.stats().timers_fired, 3u);
-  EXPECT_EQ(h.engine.stats().retransmits, 3u);
+  h.RunUntil(2'300);  // past the restarted deadline: it fires once
+  EXPECT_EQ(h.engine.stats().timers_fired, 1u);
+  EXPECT_EQ(h.engine.stats().retransmits, 1u);
   // A reschedule is neither a schedule nor a cancel: once the close resolves
-  // the retransmissions' re-armed timers, conservation holds exactly.
+  // the retransmission's re-armed timer, conservation holds exactly.
   h.engine.CloseConnection(conn);
   EXPECT_EQ(h.engine.stats().timers_scheduled,
             h.engine.stats().timers_cancelled + h.engine.stats().timers_fired);
@@ -281,7 +325,7 @@ TEST(RtoEngineTest, CloseCancelsEverythingAndStalesTheId) {
   EXPECT_TRUE(h.engine.OnSegmentSent(conn, 2'000));
   h.engine.CloseConnection(conn);
   EXPECT_FALSE(h.engine.IsOpen(conn));
-  EXPECT_EQ(h.engine.stats().timers_cancelled, 2u);
+  EXPECT_EQ(h.engine.stats().timers_cancelled, 1u);
 
   // A reopened connection reuses the slot under a new generation; the old
   // id must not alias it, and no stale fire may slip through.
