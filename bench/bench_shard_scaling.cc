@@ -171,7 +171,6 @@ void MeasureCrossCoreCosts(CrossCoreResult* out, double scale) {
   MonotonicClockSource clock(1'000'000'000);
   ShardedSoftTimerRuntime::Config cfg;
   cfg.num_shards = 1;
-  cfg.ring_capacity = 1024;
   ShardedSoftTimerRuntime rt(&clock, cfg);
   auto token = rt.RegisterProducer();
   uint64_t fired = 0;
@@ -240,13 +239,10 @@ void MeasureCrossCoreLatency(CrossCoreResult* out, double scale) {
     fired_at.store(0, std::memory_order_relaxed);
     auto* slot = &fired_at;
     uint64_t t0 = clock.NowTicks();
-    SoftEventId id = rt.ScheduleCrossCore(
+    rt.ScheduleCrossCore(
         token, 0, 0, [slot](const SoftTimerFacility::FireInfo& info) {
           slot->store(info.fired_tick, std::memory_order_release);
         });
-    if (!id.valid()) {
-      continue;  // ring full (owner starved): skip the sample
-    }
     auto wait_deadline = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(100);
     while (fired_at.load(std::memory_order_acquire) == 0 &&

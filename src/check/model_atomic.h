@@ -40,6 +40,13 @@ class ModelAtomic {
   // Implicit, like std::atomic, so `Atomic<uint64_t> pos{0}` member
   // initializers compile against either traits type.
   ModelAtomic(T v) noexcept { meta_.committed = Encode(v); }  // NOLINT
+  // An atomic may die inside an execution (a ring freed by the thread that
+  // drained it): stores still buffered for it must not commit afterwards.
+  ~ModelAtomic() {
+    if (ModelRuntime* rt = ModelRuntime::Active()) {
+      rt->ForgetLocation(&meta_);
+    }
+  }
   ModelAtomic(const ModelAtomic&) = delete;
   ModelAtomic& operator=(const ModelAtomic&) = delete;
 

@@ -337,6 +337,18 @@ void ModelRuntime::Yield() {
   w.yielded = false;
 }
 
+void ModelRuntime::ForgetLocation(const ModelAtomicMeta* loc) {
+  if (g_active != this || g_tid < 0) {
+    return;
+  }
+  for (size_t t = 0; t < threads_this_execution_; ++t) {
+    std::deque<BufferedStore>& buffer = workers_[t]->buffer;
+    for (auto it = buffer.begin(); it != buffer.end();) {
+      it = it->loc == loc ? buffer.erase(it) : it + 1;
+    }
+  }
+}
+
 // --- controller side ---------------------------------------------------
 
 void ModelRuntime::StepWorker(size_t tid) {

@@ -170,6 +170,10 @@ class ModelRuntime {
   void Fence(std::memory_order order);
   void NonAtomicAccess(const volatile void* addr, bool is_write);
   void Yield();
+  // Drops every buffered store to a location whose object is being
+  // destroyed. Not a scheduling point: nothing can observe the location
+  // again, so committing those stores or dropping them is the same.
+  void ForgetLocation(const ModelAtomicMeta* loc);
 
  private:
   friend ExploreResult Explore(const ModelConfig& config,

@@ -2,8 +2,8 @@
 // and the memory model it executes under.
 //
 // Every templated concurrency primitive in this repository (SpscRing,
-// RemotePendingFlag, SleeperGate) names its atomics through a Traits
-// parameter instead of using std::atomic directly:
+// SpscChannel, RemotePendingFlag, SleeperGate) names its atomics through a
+// Traits parameter instead of using std::atomic directly:
 //
 //   typename Traits::template Atomic<uint64_t> pos_;
 //   Traits::ThreadFence(std::memory_order_seq_cst);

@@ -5,9 +5,8 @@
 // sibling hyperthread (and on x86 eats the memory-order mis-speculation
 // penalty when the awaited line finally changes). The pause hint tells the
 // pipeline this is a spin, releasing those resources for the duration of one
-// iteration. Used by ScheduleCrossCoreWithRetry's bounded spin phase and by
-// ShardedRtHost's isolated-profile trigger loop; callers keep their own
-// escalation policy (yield, sleep) on top.
+// iteration. Used by ShardedRtHost's isolated-profile trigger loop, which
+// spins instead of parking, and by the spin-gap calibration of that loop.
 
 #ifndef SOFTTIMER_SRC_CORE_CPU_RELAX_H_
 #define SOFTTIMER_SRC_CORE_CPU_RELAX_H_

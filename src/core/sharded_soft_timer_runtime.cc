@@ -1,11 +1,8 @@
 #include "src/core/sharded_soft_timer_runtime.h"
 
-#include <atomic>
 #include <cassert>
-#include <thread>
 #include <utility>
 
-#include "src/core/cpu_relax.h"
 #include "src/timer/timer_slab.h"
 
 namespace softtimer {
@@ -122,16 +119,16 @@ ShardedSoftTimerRuntime::ShardedSoftTimerRuntime(const ClockSource* clock,
     shard->facility =
         std::make_unique<SoftTimerFacility>(clock_, config_.facility);
     shard->facility->set_event_retired_hook(&OnEventRetired, shard.get());
-    shard->rings.reserve(config_.max_producers);
+    shard->channels.reserve(config_.max_producers);
     for (size_t p = 0; p < config_.max_producers; ++p) {
-      shard->rings.push_back(
-          std::make_unique<SpscRing<Command>>(config_.ring_capacity));
+      shard->channels.push_back(
+          std::make_unique<SpscChannel<Command>>(kInitialRingCapacity));
     }
     shards_.push_back(std::move(shard));
   }
 }
 
-// Undrained commands die with their rings: handlers are destroyed, never
+// Undrained commands die with their channels: handlers are destroyed, never
 // fired. Producer and owner threads must be quiescent by now (the host
 // joins its shard threads before destroying the runtime).
 ShardedSoftTimerRuntime::~ShardedSoftTimerRuntime() = default;
@@ -182,17 +179,17 @@ size_t ShardedSoftTimerRuntime::DrainRemote(size_t shard) {
   size_t applied = 0;
   bool leftover = false;
   Command cmd;
-  for (auto& ring : s.rings) {
-    // Bounded sweep: at most one ring-full of commands per ring, so a
+  for (auto& channel : s.channels) {
+    // Bounded sweep: at most one ring-full of commands per channel, so a
     // producer pushing at full tilt cannot pin the owner in this loop and
     // starve the shard's own dispatches. Anything beyond the budget re-raises
     // the flag and drains at the next trigger state.
-    size_t budget = ring->capacity();
-    while (budget-- > 0 && ring->TryPop(cmd)) {
+    size_t budget = channel->capacity();
+    while (budget-- > 0 && channel->TryPop(cmd)) {
       ApplyCommand(s, std::move(cmd));
       ++applied;
     }
-    if (!ring->EmptyRelaxed()) {
+    if (!channel->EmptyRelaxed()) {
       leftover = true;
     }
   }
@@ -268,14 +265,6 @@ bool ShardedSoftTimerRuntime::ApplyReschedule(Shard& shard, uint64_t id_value,
 SoftEventId ShardedSoftTimerRuntime::ScheduleCrossCore(
     ProducerToken& token, size_t shard, uint64_t delta_ticks,
     SoftTimerFacility::Handler handler, uint32_t handler_tag) {
-  // Consuming wrapper: the rejected handler dies with `handler` here.
-  return TryScheduleCrossCore(token, shard, delta_ticks, handler, handler_tag);
-}
-
-// SOFTTIMER_HOT
-SoftEventId ShardedSoftTimerRuntime::TryScheduleCrossCore(
-    ProducerToken& token, size_t shard, uint64_t delta_ticks,
-    SoftTimerFacility::Handler& handler, uint32_t handler_tag) {
   if (!token.valid() || shard >= shards_.size()) {
     return SoftEventId{};
   }
@@ -291,50 +280,8 @@ SoftEventId ShardedSoftTimerRuntime::TryScheduleCrossCore(
   cmd.delta_ticks = delta_ticks;
   cmd.enqueue_tick = clock_->NowTicks();
   cmd.handler = std::move(handler);
-  if (!shards_[shard]->rings[token.index_]->TryPush(std::move(cmd))) {
-    // TryPush leaves the rejected command intact: hand the handler back so
-    // the caller can retry the same closure once the ring drains.
-    handler = std::move(cmd.handler);
-    ++token.ring_full_rejects_;
-    return SoftEventId{};
-  }
-  PublishToShard(shard, token);
+  PushCommand(token, shard, std::move(cmd));
   return SoftEventId{id};
-}
-
-SoftEventId ShardedSoftTimerRuntime::ScheduleCrossCoreWithRetry(
-    ProducerToken& token, size_t shard, uint64_t delta_ticks,
-    SoftTimerFacility::Handler handler, uint32_t handler_tag,
-    CrossCoreRetry retry) {
-  uint32_t attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
-  uint32_t spin = retry.spin_base;
-  for (uint32_t attempt = 0;; ++attempt) {
-    SoftEventId id =
-        TryScheduleCrossCore(token, shard, delta_ticks, handler, handler_tag);
-    if (id.valid() || !token.valid() || shard >= shards_.size()) {
-      return id;
-    }
-    if (attempt + 1 >= attempts) {
-      ++token.retry_exhausted_;
-      return SoftEventId{};
-    }
-    // Exponential spin backoff: the consumer drains whole rings at its next
-    // trigger state, so a short producer-side spin is the cheapest way to
-    // ride out a momentary burst without sleeping into added latency. Each
-    // iteration issues the pause hint so the spin does not starve a sibling
-    // hyperthread of the very consumer it is waiting on.
-    for (uint32_t i = 0; i < spin; ++i) {
-      CpuRelax();
-    }
-    if (spin < retry.spin_cap) {
-      spin = spin * 2 < retry.spin_cap ? spin * 2 : retry.spin_cap;
-    } else {
-      // Spin has capped without the ring draining: the consumer is likely
-      // preempted (or sharing this core), so spinning further only steals
-      // its cycles. Hand the timeslice over instead.
-      std::this_thread::yield();
-    }
-  }
 }
 
 // SOFTTIMER_HOT
@@ -353,11 +300,7 @@ bool ShardedSoftTimerRuntime::RescheduleCrossCore(ProducerToken& token,
   cmd.id = id.value;
   cmd.delta_ticks = delta_ticks;
   cmd.enqueue_tick = clock_->NowTicks();
-  if (!shards_[shard]->rings[token.index_]->TryPush(std::move(cmd))) {
-    ++token.ring_full_rejects_;
-    return false;
-  }
-  PublishToShard(shard, token);
+  PushCommand(token, shard, std::move(cmd));
   return true;
 }
 
@@ -374,20 +317,21 @@ bool ShardedSoftTimerRuntime::CancelCrossCore(ProducerToken& token,
   Command cmd;
   cmd.op = Command::Op::kCancel;
   cmd.id = id.value;
-  if (!shards_[shard]->rings[token.index_]->TryPush(std::move(cmd))) {
-    ++token.ring_full_rejects_;
-    return false;
-  }
-  PublishToShard(shard, token);
+  PushCommand(token, shard, std::move(cmd));
   return true;
 }
 
 // SOFTTIMER_HOT
-void ShardedSoftTimerRuntime::PublishToShard(size_t shard, ProducerToken&) {
+void ShardedSoftTimerRuntime::PushCommand(ProducerToken& token, size_t shard,
+                                          Command&& cmd) {
+  Shard& s = *shards_[shard];
+  if (s.channels[token.index_]->Push(std::move(cmd))) {
+    ++token.ring_growths_;
+  }
   // Seq_cst publish, not release: pairs with the seq_cst fence in the drain
   // sweep so a publish racing a drain either has its command popped or
   // leaves the flag raised (see src/core/remote_pending.h).
-  shards_[shard]->remote_pending.Publish();
+  s.remote_pending.Publish();
   if (wake_fn_ != nullptr) {
     wake_fn_(wake_ctx_, shard);
   }

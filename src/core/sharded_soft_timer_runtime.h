@@ -6,8 +6,8 @@
 // independent per-core facilities plus a way to schedule/cancel events on a
 // remote core. This runtime owns `num_shards` SoftTimerFacility shards (each
 // keeping the single-core zero-allocation hot path and `next_deadline_` fast
-// gate untouched) and, for the cross-core part, one bounded lock-free SPSC
-// command ring per (producer thread, target shard) pair.
+// gate untouched) and, for the cross-core part, one lock-free SPSC command
+// channel per (producer thread, target shard) pair.
 //
 // Threading model:
 //  * Each shard has exactly one OWNER thread: the only thread that may call
@@ -28,6 +28,11 @@
 //    sweep so a publish racing a drain is never stranded). Zero heap
 //    allocations when the handler fits std::function's inline buffer, like
 //    the local path.
+//  * A cross-core command always lands. A push that finds its ring full
+//    (the owner has fallen a whole ring behind, e.g. during a host stall)
+//    doubles the ring on a cold path instead of refusing: one allocation,
+//    counted in the token's ring_full_rejects. A stall costs memory, never
+//    a timer, and the paper's bound governs when a timer fires, not whether.
 //
 // Ids: every id this runtime returns carries its shard in the top byte (see
 // timer_slab.h). Locally-scheduled events return the facility's slab id with
@@ -55,6 +60,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/core/remote_pending.h"
@@ -101,22 +107,6 @@ class RemoteIdMap {
   size_t size_ = 0;
 };
 
-// Bounded retry-with-backoff policy for
-// ShardedSoftTimerRuntime::ScheduleCrossCoreWithRetry.
-struct CrossCoreRetry {
-  // Push attempts before giving up (>= 1).
-  uint32_t max_attempts = 8;
-  // Spin iterations after the first rejection; doubles per rejection up
-  // to spin_cap. Spinning (rather than sleeping) matches the expected
-  // stall: the consumer shard drains whole rings at its next trigger
-  // state, microseconds away. Once the spin caps the helper yields the
-  // timeslice between attempts instead - if the ring still has not drained
-  // the consumer is likely preempted (or time-sharing this core), and
-  // burning further cycles only delays it.
-  uint32_t spin_base = 64;
-  uint32_t spin_cap = 8192;
-};
-
 class ShardedSoftTimerRuntime {
  public:
   struct Config {
@@ -125,12 +115,14 @@ class ShardedSoftTimerRuntime {
     // Producer threads that may be registered over the runtime's lifetime
     // (rings are preallocated per (producer, shard) pair). At most 256.
     size_t max_producers = 8;
-    // Capacity of each command ring, rounded up to a power of two.
-    size_t ring_capacity = 1024;
     // Per-shard facility configuration, degradation policy included (a
     // deferred event keeps its id, so remote ids stay valid across it).
     SoftTimerFacility::Config facility;
   };
+
+  // Initial capacity of each (producer, shard) command ring; a ring that
+  // fills doubles.
+  static constexpr size_t kInitialRingCapacity = 1024;
 
   ShardedSoftTimerRuntime(const ClockSource* clock, Config config);
   ~ShardedSoftTimerRuntime();
@@ -156,19 +148,17 @@ class ShardedSoftTimerRuntime {
     ProducerToken() = default;
     bool valid() const { return index_ != kInvalid; }
     size_t index() const { return index_; }
-    // Cross-core push attempts rejected because the target ring was full
-    // (one per attempt, so a retried schedule can count several times).
-    uint64_t ring_full_rejects() const { return ring_full_rejects_; }
-    // ScheduleCrossCoreWithRetry calls that exhausted every attempt.
-    uint64_t retry_exhausted() const { return retry_exhausted_; }
+    // Cross-core pushes that found the target ring full and doubled it
+    // (one allocation each). Named for the refusals it counted before full
+    // rings grew.
+    uint64_t ring_full_rejects() const { return ring_growths_; }
 
    private:
     friend class ShardedSoftTimerRuntime;
     static constexpr size_t kInvalid = static_cast<size_t>(-1);
     size_t index_ = kInvalid;
     uint64_t next_seq_ = 0;
-    uint64_t ring_full_rejects_ = 0;
-    uint64_t retry_exhausted_ = 0;
+    uint64_t ring_growths_ = 0;
   };
 
   // Registers the calling thread as a command producer. Thread-safe.
@@ -216,52 +206,38 @@ class ShardedSoftTimerRuntime {
   size_t DrainRemote(size_t shard);
 
   // --- Producer API (any registered thread) -----------------------------
-  // Schedules `handler` on `shard` through the command ring. Returns the
-  // remote id, or an invalid id when the (producer, shard) ring is full
-  // (bounded backpressure; counted in the token's ring_full_rejects).
-  // `handler` is consumed even on a full-ring rejection; callers that want
-  // to retry the same handler use TryScheduleCrossCore or the retry helper
-  // below. The delay counts from now (enqueue time): the drain re-anchors
-  // the deadline at enqueue_tick + delta, so ring residency does not
-  // stretch T.
+  // Schedules `handler` on `shard` through the command ring and returns the
+  // remote id. The id is invalid only for an invalid token or shard: a full
+  // ring grows instead of refusing. The delay counts from now (enqueue
+  // time): the drain re-anchors the deadline at enqueue_tick + delta, so
+  // ring residency does not stretch T.
   SoftEventId ScheduleCrossCore(ProducerToken& token, size_t shard,
                                 uint64_t delta_ticks,
                                 SoftTimerFacility::Handler handler,
                                 uint32_t handler_tag = 0);
 
-  // Non-consuming variant: on a full-ring rejection the handler is moved
-  // back into `handler` (intact), the token's ring_full_rejects counter is
-  // bumped, and the invalid id tells the caller the push did not land — so
-  // an RTO burst that overruns the ring can retry the SAME handler after
-  // backing off instead of silently dropping the timer.
-  SoftEventId TryScheduleCrossCore(ProducerToken& token, size_t shard,
-                                   uint64_t delta_ticks,
-                                   SoftTimerFacility::Handler& handler,
-                                   uint32_t handler_tag = 0);
-
-  // Producer helper: TryScheduleCrossCore with bounded exponential spin
-  // backoff between attempts. Returns the remote id, or an invalid id when
-  // every attempt found the ring full (the handler is consumed only on
-  // success; on give-up it is destroyed, matching ScheduleCrossCore).
-  // Counted per push attempt in ring_full_rejects and per helper give-up
-  // in the token's retry_exhausted counter.
+  // Forwards to ScheduleCrossCore. Its retry loop went when full rings
+  // began to grow; the name stays for existing callers.
   SoftEventId ScheduleCrossCoreWithRetry(ProducerToken& token, size_t shard,
                                          uint64_t delta_ticks,
                                          SoftTimerFacility::Handler handler,
-                                         uint32_t handler_tag = 0,
-                                         CrossCoreRetry retry = {});
+                                         uint32_t handler_tag = 0) {
+    return ScheduleCrossCore(token, shard, delta_ticks, std::move(handler),
+                             handler_tag);
+  }
 
   // Enqueues a cancel for an id returned by either schedule path. Returns
-  // true when the command was enqueued (not when the cancel lands - see the
-  // header comment for the async semantics).
+  // true when the command was enqueued (always, for a valid token and id;
+  // not when the cancel lands - see the header comment for the async
+  // semantics).
   bool CancelCrossCore(ProducerToken& token, SoftEventId id);
 
   // Enqueues a re-arm for an id returned by either schedule path (local or
   // remote): when the command drains, the target shard reschedules the
   // event `delta_ticks` from the enqueue tick, and the same id keeps naming
-  // it afterwards. Returns true when the command was enqueued, with the
-  // usual async semantics: a re-arm racing the event's own dispatch is a
-  // no-op counted in remote_reschedule_misses.
+  // it afterwards. Returns true when the command was enqueued (always, for
+  // a valid token and id), with the usual async semantics: a re-arm racing
+  // the event's own dispatch is a no-op counted in remote_reschedule_misses.
   bool RescheduleCrossCore(ProducerToken& token, SoftEventId id,
                            uint64_t delta_ticks);
 
@@ -340,11 +316,11 @@ class ShardedSoftTimerRuntime {
     // fenced by the owner before a drain sweep so the clear cannot overwrite
     // a racing publish whose command the sweep missed. The full protocol and
     // its orderings live in src/core/remote_pending.h (model-checked by
-    // tests/model_check_test.cc). On its own cache line with `rings`, the
-    // two fields producers touch, apart from the owner-written stats.
+    // tests/model_check_test.cc). On its own cache line with `channels`,
+    // the two fields producers touch, apart from the owner-written stats.
     alignas(kCacheLineBytes) RemotePendingFlag<> remote_pending;
-    // One SPSC ring per producer slot.
-    std::vector<std::unique_ptr<SpscRing<Command>>> rings;
+    // One command channel per producer slot.
+    std::vector<std::unique_ptr<SpscChannel<Command>>> channels;
   };
 
   static void OnEventRetired(void* ctx, uint64_t cookie) {
@@ -358,9 +334,10 @@ class ShardedSoftTimerRuntime {
   bool ApplyCancel(Shard& shard, uint64_t id_value);
   bool ApplyReschedule(Shard& shard, uint64_t id_value, uint64_t delta_ticks);
 
-  // Raises the shard's pending flag and fires the wake hook (called by a
-  // producer after a successful ring push).
-  void PublishToShard(size_t shard, ProducerToken& token);
+  // Producer side of every cross-core command: pushes `cmd` into the
+  // (producer, shard) channel, raises the shard's pending flag and fires
+  // the wake hook.
+  void PushCommand(ProducerToken& token, size_t shard, Command&& cmd);
 
   const ClockSource* clock_;
   Config config_;

@@ -1,11 +1,13 @@
-// Bounded lock-free single-producer / single-consumer ring.
+// Lock-free single-producer / single-consumer rings.
 //
-// The cross-core command channel of ShardedSoftTimerRuntime: each
-// (producer thread, target shard) pair owns exactly one ring, so every ring
-// has one writer and one reader and needs no CAS loops - a push is a slot
+// SpscRing is a bounded ring: each side owns one counter, so a push is a slot
 // move plus one release store, a pop is a slot move plus one release store,
-// and the consumer's emptiness probe is a single relaxed load (the cost the
-// sharded runtime adds to a shard's nothing-due trigger check).
+// and the consumer's emptiness probe is a single relaxed load. SpscChannel
+// chains SpscRings into an unbounded FIFO: it is the cross-core command
+// channel of ShardedSoftTimerRuntime, one per (producer thread, target shard)
+// pair, so every channel has one writer and one reader and needs no CAS
+// loops. A push that finds its ring full never refuses: it allocates a ring
+// of twice the capacity, pushes there and links it from the old one.
 //
 // Slots hold T by value and are recycled in place; pushing move-assigns into
 // the slot and popping move-assigns out, so a T whose move is allocation-free
@@ -15,14 +17,14 @@
 // needed within any realistic lifetime), kept on separate cache lines along
 // with each side's cached view of the other's counter.
 //
-// Concurrency-model parameters (see src/core/atomics_traits.h): the ring is
-// templated on an atomics-traits type so the identical protocol code runs
+// Concurrency-model parameters (see src/core/atomics_traits.h): both types
+// are templated on an atomics-traits type so the identical protocol code runs
 // against std::atomic in production and against the model checker's
 // simulated memory in tests/model_check_test.cc, and on an ordering-policy
-// type whose shipped defaults (SpscRingOrdering) are what production uses.
-// The policy exists so the model-check suite can *weaken* one ordering at a
-// time and prove the checker catches the resulting race - never override it
-// in production code.
+// type whose shipped defaults (SpscRingOrdering, SpscChannelOrdering) are
+// what production uses. The policy exists so the model-check suite can
+// *weaken* one rule at a time and prove the checker catches the resulting
+// bug - never override it in production code.
 
 #ifndef SOFTTIMER_SRC_CORE_SPSC_RING_H_
 #define SOFTTIMER_SRC_CORE_SPSC_RING_H_
@@ -30,6 +32,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
@@ -134,6 +137,116 @@ class SpscRing {
   size_t mask_ = 0;
   Side head_;  // consumer cursor
   Side tail_;  // producer cursor
+};
+
+// The shipped rules of SpscChannel's ring switch. The producer links a new
+// ring only after its last push into the old one, and the consumer follows
+// the link only after the old ring reads empty again.
+struct SpscChannelOrdering {
+  // ordering: publishes the new ring's construction (slot array, mask,
+  // cursors: plain writes) and every push before it; pairs with kLinkLoad.
+  static constexpr std::memory_order kLinkStore = std::memory_order_release;
+  // ordering: the consumer reads the new ring's plain fields only after
+  // this load; pairs with kLinkStore.
+  static constexpr std::memory_order kLinkLoad = std::memory_order_acquire;
+  // The consumer's empty reading of the old ring may predate the producer's
+  // last pushes there. Once the link is seen, those pushes are visible, so
+  // one more pop of the old ring finds them; switching without it lets a
+  // later command (a cancel) overtake an earlier one (its schedule).
+  static constexpr bool kRedrainBeforeSwitch = true;
+};
+
+template <typename T, typename Traits = StdAtomicsTraits,
+          typename Ordering = SpscChannelOrdering>
+class SpscChannel {
+ public:
+  explicit SpscChannel(size_t capacity)
+      : head_{new Link(capacity)}, tail_{head_.link} {}
+
+  // Undrained elements die with their rings. Both sides must be quiescent.
+  ~SpscChannel() {
+    Link* link = head_.link;
+    while (link != nullptr) {
+      Link* next = link->Next(std::memory_order_relaxed);  // ordering: quiesced
+      delete link;
+      link = next;
+    }
+  }
+
+  SpscChannel(const SpscChannel&) = delete;
+  SpscChannel& operator=(const SpscChannel&) = delete;
+
+  // Producer side. Always takes `v`. Returns true when the push found the
+  // ring full and grew the channel (one allocation), false otherwise.
+  bool Push(T&& v) {
+    if (tail_.link->ring.TryPush(std::move(v))) {
+      return false;
+    }
+    Grow(std::move(v));
+    return true;
+  }
+
+  // Consumer side. Returns false when empty.
+  bool TryPop(T& out) {
+    if (head_.link->ring.TryPop(out)) {
+      return true;
+    }
+    Link* next = head_.link->Next(Ordering::kLinkLoad);
+    return next != nullptr && PopAcrossLink(next, out);
+  }
+
+  // Consumer side: the capacity of the ring being drained.
+  size_t capacity() const { return head_.link->ring.capacity(); }
+
+  // Consumer-side cheap probe, with SpscRing::EmptyRelaxed's caveat: it may
+  // miss a push or a link published concurrently.
+  bool EmptyRelaxed() const {
+    // ordering: relaxed - staleness only delays a drain until the
+    // pending-flag protocol re-raises it, as for the ring's own counters.
+    return head_.link->ring.EmptyRelaxed() &&
+           head_.link->Next(std::memory_order_relaxed) == nullptr;
+  }
+
+ private:
+  struct Link {
+    explicit Link(size_t capacity) : ring(capacity) {}
+    Link* Next(std::memory_order order) const {
+      return reinterpret_cast<Link*>(next.load(order));
+    }
+    SpscRing<T, Traits> ring;
+    // The ring that follows this one; 0 until the producer outgrows it.
+    typename Traits::template Atomic<uintptr_t> next{0};
+  };
+
+  // SOFTTIMER_COLD: growth - entered only when a push finds the ring full,
+  // i.e. when the consumer has fallen a whole ring behind (a host stall).
+  // Each growth doubles the capacity, so a channel grows O(log n) times.
+  void Grow(T&& v) {
+    auto link = std::make_unique<Link>(tail_.link->ring.capacity() * 2);
+    link->ring.TryPush(std::move(v));  // an empty ring always has room
+    tail_.link->next.store(reinterpret_cast<uintptr_t>(link.get()),
+                           Ordering::kLinkStore);
+    tail_.link = link.release();
+  }
+
+  // SOFTTIMER_COLD: ring switch - entered once per growth, when the
+  // consumer reaches the link; frees the outgrown ring.
+  bool PopAcrossLink(Link* next, T& out) {
+    if (Ordering::kRedrainBeforeSwitch && head_.link->ring.TryPop(out)) {
+      return true;
+    }
+    delete head_.link;
+    head_.link = next;
+    // The producer pushed into the new ring before linking it.
+    return head_.link->ring.TryPop(out);
+  }
+
+  struct alignas(kCacheLineBytes) Side {
+    Link* link = nullptr;
+  };
+
+  Side head_;  // consumer's ring
+  Side tail_;  // producer's ring
 };
 
 }  // namespace softtimer

@@ -21,7 +21,6 @@ ShardedRtHost::ShardedRtHost(Config config)
   ShardedSoftTimerRuntime::Config rc;
   rc.num_shards = config_.num_shards;
   rc.max_producers = config_.max_producers;
-  rc.ring_capacity = config_.ring_capacity;
   rc.facility.interrupt_clock_hz = config_.interrupt_clock_hz;
   runtime_ = std::make_unique<ShardedSoftTimerRuntime>(&clock_, rc);
   runtime_->set_wake_hook(&ShardedRtHost::WakeShard, this);

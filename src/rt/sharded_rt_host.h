@@ -115,7 +115,6 @@ class ShardedRtHost {
     uint64_t interrupt_clock_hz = 1'000;  // backup bound: 1 ms
     IdleStrategy idle_strategy = IdleStrategy::kSleep;
     size_t max_producers = 8;
-    size_t ring_capacity = 1024;
     // M-on-N claimed queue polling (MultiQueuePoller, src/net): the shared
     // idle-time work of the paper's Section 5.2 (idle CPUs poll the network
     // instead of halting). queue_work is served by EVERY kNormal shard

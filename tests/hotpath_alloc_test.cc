@@ -2,7 +2,9 @@
 // anatomy"): with no degradation policy configured, steady-state
 // ScheduleSoftEvent / CancelSoftEvent, the nothing-due trigger-state check,
 // and the dispatch cycle must not touch the heap once internal storage
-// (timer slab, expiry scratch) has reached its high-water mark.
+// (timer slab, expiry scratch) has reached its high-water mark. The same
+// holds for cross-core commands and the owner's drain of them once the
+// command ring, the slab and the remote-id table are warm.
 //
 // The binary links bench/alloc_probe.cc, which interposes global operator
 // new/delete with counting wrappers, so any allocation on these paths is an
@@ -15,6 +17,7 @@
 
 #include "bench/alloc_probe.h"
 #include "src/core/clock_source.h"
+#include "src/core/sharded_soft_timer_runtime.h"
 #include "src/core/soft_timer_facility.h"
 #include "src/net/multi_queue_poller.h"
 #include "src/pacing/pacing_wheel.h"
@@ -124,6 +127,55 @@ TEST_P(HotpathAllocTest, SteadyStateRescheduleAllocatesNothing) {
   for (SoftEventId id : ids) {
     EXPECT_TRUE(facility_.CancelSoftEvent(id));
   }
+}
+
+// --- cross-core commands: schedule / re-arm / cancel and the drain --------
+
+TEST(ShardedRuntimeAllocTest, SteadyStateCrossCoreCommandsAllocateNothing) {
+  // One thread plays producer and owner: the runtime needs each side's
+  // calls serialized, not on separate threads.
+  Simulator sim;
+  SimClockSource clock(&sim, 1'000'000);
+  ShardedSoftTimerRuntime::Config config;
+  config.num_shards = 1;
+  ShardedSoftTimerRuntime rt(&clock, config);
+  auto token = rt.RegisterProducer();
+  ASSERT_TRUE(token.valid());
+  uint64_t fired = 0;
+  uint64_t* fired_p = &fired;
+  auto handler = [fired_p](const SoftTimerFacility::FireInfo&) { ++*fired_p; };
+  std::vector<SoftEventId> ids(256);
+  auto round = [&] {
+    for (SoftEventId& id : ids) {
+      id = rt.ScheduleCrossCore(token, 0, 10, handler);
+    }
+    rt.OnTriggerState(0, TriggerSource::kSyscall);  // drains the schedules
+    for (SoftEventId id : ids) {
+      ASSERT_TRUE(rt.RescheduleCrossCore(token, id, 20));
+    }
+    for (size_t i = 0; i < ids.size(); i += 2) {
+      ASSERT_TRUE(rt.CancelCrossCore(token, ids[i]));
+    }
+    rt.OnTriggerState(0, TriggerSource::kSyscall);  // drains the rest
+    sim.RunUntil(sim.now() + SimDuration::Micros(50));
+    rt.OnTriggerState(0, TriggerSource::kSyscall);  // fires the survivors
+  };
+  // Warmup: grows the slab, the heap and the remote-id table to their
+  // high-water marks; the command ring holds every round without growing.
+  round();
+  round();
+  uint64_t fired_before = fired;
+  uint64_t start = AllocProbeAllocCount();
+  for (int r = 0; r < 4; ++r) {
+    round();
+  }
+  EXPECT_EQ(AllocProbeAllocCount() - start, 0u);
+  EXPECT_EQ(fired - fired_before, 4 * ids.size() / 2);
+  EXPECT_EQ(token.ring_full_rejects(), 0u);
+  ShardedSoftTimerRuntime::ShardStats stats = rt.shard_stats(0);
+  EXPECT_EQ(stats.remote_cancel_misses, 0u);
+  EXPECT_EQ(stats.remote_reschedule_misses, 0u);
+  EXPECT_EQ(stats.remote_live, 0u);
 }
 
 // --- pacing wheel: enqueue / re-rate / dispatch stay off the heap ---------

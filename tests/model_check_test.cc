@@ -2,8 +2,9 @@
 // (src/check/), in two directions:
 //
 //  1. The shipped ordering policies pass every explored schedule - SpscRing,
-//     RemotePendingFlag (the DrainRemote publish/drain protocol), and
-//     SleeperGate (the eventcount sleep/wake protocol) are instantiated
+//     SpscChannel (the growing command channel), RemotePendingFlag (the
+//     DrainRemote publish/drain protocol), and SleeperGate (the eventcount
+//     sleep/wake protocol) are instantiated
 //     against ModelCheckerTraits exactly as production instantiates them
 //     against StdAtomicsTraits, and the checker explores the bounded
 //     schedule space to exhaustion.
@@ -65,6 +66,12 @@ struct WeakDrainFenceOrdering : RemotePendingOrdering {
   // The PR 3 bug, reintroduced: without the store-load fence the owner's
   // flag clear sits in its store buffer while the ring sweep runs ahead.
   static constexpr std::memory_order kDrainFence = std::memory_order_release;
+};
+
+struct NoRedrainChannelOrdering : SpscChannelOrdering {
+  // Follow the link as soon as the old ring reads empty, without popping it
+  // once more: pushes the empty reading missed are skipped (and freed).
+  static constexpr bool kRedrainBeforeSwitch = false;
 };
 
 struct WeakClaimReleaseOrdering : QueueClaimOrdering {
@@ -338,6 +345,118 @@ TEST(RemotePendingModel, FailingScheduleReplaysDeterministically) {
   EXPECT_FALSE(replayed.ok) << replayed.Summary();
   EXPECT_EQ(replayed.executions, 1u) << replayed.Summary();
   EXPECT_EQ(replayed.failure, first.failure);
+}
+
+// --- SpscChannel: the command channel grows without reordering ----------
+//
+// Mirrors one (producer, shard) channel of ShardedSoftTimerRuntime at its
+// smallest: a 1-slot first ring, so the producer's second command finds it
+// full unless the owner already took the first, and grows the channel.
+//
+// FIFO across a growth: the producer sends schedule A (1) and cancel A (2);
+// the owner pops twice. What it got must be a prefix of what was sent, in
+// order. Switching rings without re-draining the old
+// one breaks this: the owner reads the old ring empty, the producer fills
+// it and grows, and the owner follows the link to the cancel, past the
+// schedule it never popped.
+
+template <typename Ordering>
+ExploreResult ExploreChannelFifo() {
+  ModelConfig cfg;
+  cfg.preemption_bound = 2;  // the overtaking needs one preemption
+  return Explore(cfg, [](ModelExecution& ex) {
+    struct State {
+      SpscChannel<int, ModelCheckerTraits, Ordering> channel{1};
+      std::vector<int> consumed;
+    };
+    auto st = std::make_shared<State>();
+    st->consumed.reserve(2);
+    ex.Thread([st] {
+      for (int v = 1; v <= 2; ++v) {
+        int cmd = v;
+        st->channel.Push(std::move(cmd));
+      }
+    });
+    ex.Thread([st] {
+      int cmd = 0;
+      for (int attempt = 0; attempt < 2; ++attempt) {
+        if (st->channel.TryPop(cmd)) {
+          st->consumed.push_back(cmd);
+        }
+      }
+    });
+    ex.Finally([st] {
+      for (size_t i = 0; i < st->consumed.size(); ++i) {
+        MODEL_CHECK(st->consumed[i] == static_cast<int>(i) + 1);
+      }
+    });
+  });
+}
+
+TEST(SpscChannelModel, ShippedGrowthKeepsFifoUnderAllSchedules) {
+  ExploreResult r = ExploreChannelFifo<SpscChannelOrdering>();
+  EXPECT_TRUE(r.ok) << r.Summary();
+  EXPECT_TRUE(r.exhausted) << r.Summary();
+  EXPECT_EQ(r.horizon_hits, 0u) << r.Summary();
+}
+
+TEST(SpscChannelModel, MutationSwitchWithoutRedrainLetsACancelOvertake) {
+  ExploreResult r = ExploreChannelFifo<NoRedrainChannelOrdering>();
+  ASSERT_FALSE(r.ok) << r.Summary();
+  EXPECT_NE(r.failure.find("consumed[i] =="), std::string::npos)
+      << r.Summary();
+}
+
+// Nothing stranded across a growth: the producer sends two commands with a
+// publish after each; the owner runs two DrainRemote-shaped passes (poll,
+// clear+fence, sweep of one ring capacity, re-raise on leftovers). A pass
+// can stop with the old ring empty and the rest behind the link, so the
+// leftover probe must see the link. Afterwards the owner consumed both, in
+// order, or the flag is still raised for the next check.
+TEST(SpscChannelModel, ShippedGrowthStrandsNoCommand) {
+  ModelConfig cfg;
+  cfg.preemption_bound = 2;
+  ExploreResult r = Explore(cfg, [](ModelExecution& ex) {
+    struct State {
+      SpscChannel<int, ModelCheckerTraits> channel{1};
+      RemotePendingFlag<ModelCheckerTraits> pending;
+      std::vector<int> consumed;
+    };
+    auto st = std::make_shared<State>();
+    st->consumed.reserve(2);
+    ex.Thread([st] {
+      for (int v = 1; v <= 2; ++v) {
+        int cmd = v;
+        st->channel.Push(std::move(cmd));
+        st->pending.Publish();
+      }
+    });
+    ex.Thread([st] {
+      for (int pass = 0; pass < 2; ++pass) {
+        if (!st->pending.AnyPendingRelaxed()) {
+          continue;
+        }
+        st->pending.BeginDrain();
+        int cmd = 0;
+        size_t budget = st->channel.capacity();
+        while (budget-- > 0 && st->channel.TryPop(cmd)) {
+          st->consumed.push_back(cmd);
+        }
+        if (!st->channel.EmptyRelaxed()) {
+          st->pending.Reraise();
+        }
+      }
+    });
+    ex.Finally([st] {
+      for (size_t i = 0; i < st->consumed.size(); ++i) {
+        MODEL_CHECK(st->consumed[i] == static_cast<int>(i) + 1);
+      }
+      MODEL_CHECK(st->consumed.size() == 2 || st->pending.AnyPendingRelaxed());
+    });
+  });
+  EXPECT_TRUE(r.ok) << r.Summary();
+  EXPECT_TRUE(r.exhausted) << r.Summary();
+  EXPECT_EQ(r.horizon_hits, 0u) << r.Summary();
 }
 
 // --- SleeperGate: the eventcount sleep/wake protocol --------------------

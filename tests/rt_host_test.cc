@@ -86,13 +86,27 @@ TEST(RtHostTest, EventFiresFromApplicationPolls) {
 }
 
 TEST(RtHostTest, SleepAndDispatchHonorsDeadline) {
-  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  ShardedRtHost::Config cfg = OneShard(ShardedRtHost::IdleStrategy::kSleep);
   std::atomic<bool> fired{false};
+  ShardedRtHost* self = nullptr;  // set before Start(), read on the loop
+  bool armed = false;             // loop thread only
+  // Armed on the loop thread, between its first trigger check and its
+  // first sleep decision, so the loop always parks before the timer can
+  // fire: however late the thread starts or stalls, no check runs in
+  // between that could dispatch the timer (and let Stop() win) first.
+  cfg.shard_tick = [&](size_t shard) {
+    if (armed) {
+      return;
+    }
+    armed = true;
+    self->runtime().ScheduleOnShard(
+        shard, 1'000, [&](const SoftTimerFacility::FireInfo&) {
+          fired.store(true, std::memory_order_release);
+        });
+  };
+  ShardedRtHost host(cfg);
+  self = &host;
   auto start = Clock::now();
-  host.runtime().ScheduleOnShard(0, 1'000,
-                                 [&](const SoftTimerFacility::FireInfo&) {
-                                   fired.store(true, std::memory_order_release);
-                                 });
   host.Start();
   WaitFor(fired, std::chrono::milliseconds(500));
   int64_t elapsed_us = MicrosSince(start);

@@ -3,7 +3,7 @@
 //
 // Topology: the engine and its shard live on the owner thread, which sends
 // segments and pumps trigger states. A second "NIC" thread delivers ACKs
-// the sharded way - as cross-core commands (via ScheduleCrossCoreWithRetry)
+// the sharded way - as cross-core commands (via ScheduleCrossCore)
 // that invoke OnCumulativeAck on the owning shard after a randomized wire
 // delay straddling the RTO. Some ACKs land before the RTO fires (the
 // cancel path), some after (retransmit already happened; the late ACK
@@ -63,7 +63,6 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
   AtomicClock clock;
   ShardedSoftTimerRuntime::Config rc;
   rc.num_shards = 1;
-  rc.ring_capacity = 1024;
   ShardedSoftTimerRuntime rt(&clock, rc);
 
   RtoEngine::Config ec;
@@ -111,12 +110,12 @@ TEST(RtoCrossShardTest, AckRacesRtoFireAcrossThreads) {
       uint64_t delay = 100 + rng.Next() % 800;
       uint64_t conn = item.first;
       uint64_t seq = item.second;
-      SoftEventId id = rt.ScheduleCrossCoreWithRetry(
+      SoftEventId id = rt.ScheduleCrossCore(
           token, 0, delay, [eng, conn, seq](const SoftTimerFacility::FireInfo&) {
             eng->OnCumulativeAck(conn, seq);
           });
-      // The retry helper must absorb ring bursts; losing an ACK here would
-      // break the accounting below.
+      // A cross-core schedule always lands; losing an ACK here would break
+      // the accounting below.
       ASSERT_TRUE(id.valid());
       // Release: the clock read inside the schedule above happens before
       // the owner's next Advance.

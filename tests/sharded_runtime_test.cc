@@ -24,10 +24,9 @@ class ManualClock : public ClockSource {
   uint64_t now_ = 0;
 };
 
-ShardedSoftTimerRuntime::Config Cfg(size_t shards, size_t ring_capacity = 64) {
+ShardedSoftTimerRuntime::Config Cfg(size_t shards) {
   ShardedSoftTimerRuntime::Config c;
   c.num_shards = shards;
-  c.ring_capacity = ring_capacity;
   return c;
 }
 
@@ -155,28 +154,29 @@ TEST(ShardedRuntimeTest, CancelForUndrainedForeignScheduleIsMiss) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(ShardedRuntimeTest, RingFullRejectsWithInvalidId) {
+TEST(ShardedRuntimeTest, FullRingGrowsInsteadOfRejecting) {
   ManualClock clock;
-  ShardedSoftTimerRuntime rt(&clock, Cfg(1, /*ring_capacity=*/4));
+  ShardedSoftTimerRuntime rt(&clock, Cfg(1));
   auto token = rt.RegisterProducer();
-  std::vector<SoftEventId> accepted;
-  SoftEventId rejected{};
-  for (int i = 0; i < 8; ++i) {
-    SoftEventId id = rt.ScheduleCrossCore(
-        token, 0, 1'000, [](const SoftTimerFacility::FireInfo&) {});
-    if (id.valid()) {
-      accepted.push_back(id);
-    } else {
-      rejected = id;
-    }
+  constexpr size_t kPushes = 2 * ShardedSoftTimerRuntime::kInitialRingCapacity;
+  int fired = 0;
+  for (size_t i = 0; i < kPushes; ++i) {
+    EXPECT_TRUE(rt.ScheduleCrossCore(token, 0, 1'000,
+                                     [&](const SoftTimerFacility::FireInfo&) {
+                                       ++fired;
+                                     })
+                    .valid());
   }
-  EXPECT_EQ(accepted.size(), 4u);
-  EXPECT_EQ(token.ring_full_rejects(), 4u);
-  // Draining frees the ring for the next push.
+  // The push after the first ring-full doubled the ring; the rest fit.
+  EXPECT_EQ(token.ring_full_rejects(), 1u);
+  // A sweep drains at most one ring capacity and re-raises the flag.
+  EXPECT_EQ(rt.DrainRemote(0), ShardedSoftTimerRuntime::kInitialRingCapacity);
+  EXPECT_TRUE(rt.remote_pending(0));
+  EXPECT_EQ(rt.DrainRemote(0), ShardedSoftTimerRuntime::kInitialRingCapacity);
+  EXPECT_FALSE(rt.remote_pending(0));
+  clock.Advance(2'000);
   rt.OnTriggerState(0, TriggerSource::kSyscall);
-  EXPECT_TRUE(rt.ScheduleCrossCore(token, 0, 1'000,
-                                   [](const SoftTimerFacility::FireInfo&) {})
-                  .valid());
+  EXPECT_EQ(fired, static_cast<int>(kPushes));
 }
 
 TEST(ShardedRuntimeTest, RemoteDeadlineAnchorsAtEnqueueTime) {

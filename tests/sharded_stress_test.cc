@@ -36,7 +36,6 @@ ShardedRtHost::Config StressCfg(size_t shards) {
   cfg.num_shards = shards;
   cfg.interrupt_clock_hz = 4'000;  // 250 us backup: bounds test runtime
   cfg.max_producers = 8;
-  cfg.ring_capacity = 4096;
   return cfg;
 }
 
@@ -160,14 +159,13 @@ TEST(ShardedStressTest, PublishDrainRaceNeverStrandsACommand) {
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   for (int i = 0;
        i < 5'000 && std::chrono::steady_clock::now() < budget_end; ++i) {
-    if (!host.runtime()
-             .ScheduleCrossCore(token, 0, 0,
-                                [&fired](const SoftTimerFacility::FireInfo&) {
-                                  fired.fetch_add(1, std::memory_order_relaxed);
-                                })
-             .valid()) {
-      continue;  // ring momentarily full: skip, conservation still checked
-    }
+    ASSERT_TRUE(host.runtime()
+                    .ScheduleCrossCore(
+                        token, 0, 0,
+                        [&fired](const SoftTimerFacility::FireInfo&) {
+                          fired.fetch_add(1, std::memory_order_relaxed);
+                        })
+                    .valid());
     ++pushed;
     // Wait for this command to drain and fire before publishing the next,
     // so every iteration exposes a fresh single-publish/drain race.
@@ -218,12 +216,26 @@ TEST(ShardedStressTest, ShardsStayIndependentUnderLoad) {
   ShardedRtHost host(StressCfg(2));
   host.Start();
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> flood_fired{0};
   std::thread flooder([&] {
     auto token = host.RegisterProducer();
     Xorshift rng(7);
+    uint64_t flood_sent = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      host.runtime().ScheduleCrossCore(token, 0, rng.Next() % 100,
-                                       [](const SoftTimerFacility::FireInfo&) {});
+      // Keep shard 0 at most a few rings of commands behind: a full ring
+      // grows instead of refusing, so an unthrottled flood would only grow
+      // memory for as long as shard 1's event takes.
+      if (flood_sent - flood_fired.load(std::memory_order_relaxed) >=
+          4 * ShardedSoftTimerRuntime::kInitialRingCapacity) {
+        std::this_thread::yield();
+        continue;
+      }
+      host.runtime().ScheduleCrossCore(
+          token, 0, rng.Next() % 100,
+          [&flood_fired](const SoftTimerFacility::FireInfo&) {
+            flood_fired.fetch_add(1, std::memory_order_relaxed);
+          });
+      ++flood_sent;
     }
   });
   auto token = host.RegisterProducer();

@@ -1,8 +1,10 @@
 // Edge-case coverage for SpscRing (src/core/spsc_ring.h): capacity
 // rounding, index wraparound across the counter/mask boundary, the
-// full-ring rejection contract (the value must be left intact for the
-// caller to retry or destroy), slot-recycling resource drops, and
-// destruction with undrained elements. The cross-thread protocol itself is
+// full-ring rejection contract (the value must be left intact, which is
+// what lets SpscChannel push it into the ring it grows), slot-recycling
+// resource drops, and destruction with undrained elements; and for
+// SpscChannel: growth, FIFO across rings, the linked-ring leftover probe
+// and destruction of every ring. The cross-thread protocol itself is
 // verified exhaustively by tests/model_check_test.cc; this file pins the
 // single-threaded semantics those model tests assume.
 
@@ -118,6 +120,60 @@ TEST(SpscRingTest, CapacityOneRingAlternatesPushPop) {
     EXPECT_EQ(out, i);
     EXPECT_FALSE(ring.TryPop(out));  // empty again
   }
+}
+
+TEST(SpscChannelTest, FullRingGrowsAndKeepsFifoAcrossRings) {
+  // Nothing drains while 1 + 2 + 4 elements go in: the 2nd and the 4th
+  // push each find their ring full and double the channel.
+  SpscChannel<int> channel(1);
+  int grew = 0;
+  for (int v = 0; v < 7; ++v) {
+    grew += channel.Push(int{v}) ? 1 : 0;
+  }
+  EXPECT_EQ(grew, 2);
+  EXPECT_FALSE(channel.EmptyRelaxed());
+  int out = -1;
+  for (int v = 0; v < 7; ++v) {
+    ASSERT_TRUE(channel.TryPop(out));
+    EXPECT_EQ(out, v);
+  }
+  EXPECT_FALSE(channel.TryPop(out));
+  EXPECT_TRUE(channel.EmptyRelaxed());
+  EXPECT_EQ(channel.capacity(), 4u);  // the consumer reached the last ring
+  // The last ring is the channel now: it takes a ring-full without growing.
+  for (int v = 0; v < 4; ++v) {
+    EXPECT_FALSE(channel.Push(int{v}));
+  }
+}
+
+TEST(SpscChannelTest, EmptyOldRingStillReportsTheLinkedRing) {
+  // The leftover probe of a bounded drain: an emptied ring with a link
+  // behind it is not empty.
+  SpscChannel<int> channel(1);
+  ASSERT_FALSE(channel.Push(1));
+  ASSERT_TRUE(channel.Push(2));
+  int out = 0;
+  ASSERT_TRUE(channel.TryPop(out));
+  EXPECT_EQ(out, 1);
+  EXPECT_FALSE(channel.EmptyRelaxed());
+  ASSERT_TRUE(channel.TryPop(out));
+  EXPECT_EQ(out, 2);
+  EXPECT_TRUE(channel.EmptyRelaxed());
+}
+
+TEST(SpscChannelTest, DestructionDestroysUndrainedElementsInEveryRing) {
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  std::weak_ptr<int> watch_first = first;
+  std::weak_ptr<int> watch_second = second;
+  {
+    SpscChannel<std::shared_ptr<int>> channel(1);
+    ASSERT_FALSE(channel.Push(std::move(first)));
+    ASSERT_TRUE(channel.Push(std::move(second)));  // lands in a new ring
+    EXPECT_FALSE(watch_second.expired());
+  }
+  EXPECT_TRUE(watch_first.expired());
+  EXPECT_TRUE(watch_second.expired());
 }
 
 }  // namespace
