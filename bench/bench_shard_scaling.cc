@@ -267,24 +267,19 @@ void MeasureCrossCoreLatency(CrossCoreResult* out, double scale) {
 // ---------------------------------------------------------------------------
 // Isolated-shard latency-SLO phase (DESIGN.md section 14).
 //
-// A 2-shard ShardedRtHost: shard 0 runs the kIsolated profile (dedicated
-// spinning trigger loop, compensated software backup, 1 us lateness SLO at
-// the 1 GHz measure clock) under a 100-tick self-re-arm chain; shard 1 runs
-// the normal profile under a 400 us chain, demonstrating - simultaneously -
-// that its dispatches piggyback on trigger states (kIdleLoop source) rather
-// than costing backup interrupts. A second, shorter run flips the isolated
-// backup to kUncompensated as the CHRONOS-style contrast: arming at the
-// deadline instead of deadline-minus-overhead makes every backup fire late
-// by one check gap.
+// A 2-shard ShardedRtHost: shard 0 is isolated (it spins: compensated
+// software backup, 1 us lateness SLO at the 1 GHz measure clock) under a
+// 100-tick self-re-arm chain; shard 1 sleeps under a 400 us chain,
+// demonstrating - simultaneously - that its dispatches piggyback on trigger
+// states (kIdleLoop source) rather than costing backup interrupts.
 //
 // Self-checking gates (the bench exits nonzero if they fail after retries):
 //   - clean p99.9 dispatch lateness on the isolated shard < the SLO budget
 //     (1000 ticks = 1 us), with a minimum clean sample count;
-//   - zero backup_true_late on the compensated run (late fires with a
-//     detected hypervisor steal are classified, reported, and excluded);
-//   - backup fires actually happened on both isolated runs;
-//   - the uncompensated contrast run fired its backups late;
-//   - the sibling normal shard dispatched via trigger piggybacking.
+//   - zero backup_true_late (late fires with a detected hypervisor steal
+//     are classified, reported, and excluded);
+//   - backup fires actually happened;
+//   - the sibling sleeping shard dispatched via trigger piggybacking.
 // "Clean" excludes dispatches adjacent to a detected preemption gap - the
 // same shared-CI-host honesty rule as the CPU-time-per-op methodology above;
 // raw percentiles are reported next to clean in the JSON.
@@ -306,27 +301,23 @@ void ChainFire(ChainCtx* c) {
 }
 
 struct IsolatedSloResult {
-  // Compensated (primary) run, isolated shard 0.
+  // Isolated shard 0.
   uint64_t slo_budget_ticks = 0;
   uint64_t clean_samples = 0;
   uint64_t clean_p50 = 0, clean_p99 = 0, clean_p999 = 0, clean_max = 0;
   uint64_t raw_samples = 0;
   uint64_t raw_p50 = 0, raw_p99 = 0, raw_p999 = 0, raw_max = 0;
+  ShardedRtHost::ShardLoopStats loop;
   ShardedRtHost::IsolatedShardStats iso;
-  // Sibling normal shard 1.
+  // Sibling sleeping shard 1.
   uint64_t normal_dispatches = 0;
   uint64_t normal_piggyback_dispatches = 0;  // TriggerSource::kIdleLoop
   uint64_t normal_backup_dispatches = 0;     // TriggerSource::kBackupIntr
-  // Uncompensated contrast run.
-  uint64_t uncomp_backup_fires = 0;
-  uint64_t uncomp_backup_on_time = 0;
-  uint64_t uncomp_backup_late = 0;  // true_late + steal_late
   // Gate outcomes.
   bool pass_clean_p999 = false;
   bool pass_min_samples = false;
   bool pass_zero_true_late = false;
   bool pass_backup_exercised = false;
-  bool pass_uncomp_late = false;
   bool pass_normal_piggyback = false;
   bool passed = false;
   int attempts = 0;
@@ -337,10 +328,8 @@ struct IsolatedSloResult {
 IsolatedSloResult RunIsolatedSloOnce(double scale) {
   constexpr uint64_t kSloTicks = 1'000;       // 1 us at the 1 GHz clock
   constexpr uint64_t kMinCleanSamples = 1'000;
-  const auto comp_ms =
+  const auto run_ms =
       std::chrono::milliseconds(std::max<int64_t>(40, int64_t(600 * scale)));
-  const auto uncomp_ms =
-      std::chrono::milliseconds(std::max<int64_t>(20, int64_t(150 * scale)));
 
   IsolatedSloResult r;
   r.slo_budget_ticks = kSloTicks;
@@ -352,8 +341,7 @@ IsolatedSloResult RunIsolatedSloOnce(double scale) {
     hc.measure_hz = 1'000'000'000;
     hc.interrupt_clock_hz = 1'000;  // 1 ms backup period
     hc.shard_profiles.resize(2);
-    hc.shard_profiles[0].profile = ShardedRtHost::ShardProfile::kIsolated;
-    hc.shard_profiles[0].backup = ShardedRtHost::IsolatedBackup::kCompensated;
+    hc.shard_profiles[0].isolated = true;
     hc.shard_profiles[0].slo_lateness_ticks = kSloTicks;
     hc.shard_setup = [&](size_t shard) {
       ChainFire(shard == 0 ? &iso_chain : &normal_chain);
@@ -362,9 +350,10 @@ IsolatedSloResult RunIsolatedSloOnce(double scale) {
     iso_chain = {&host.runtime(), 0, 100, 0};       // 100 ns re-arm chain
     normal_chain = {&host.runtime(), 1, 400'000, 0};  // 400 us chain
     host.Start();
-    std::this_thread::sleep_for(comp_ms);
+    std::this_thread::sleep_for(run_ms);
     host.Stop();
 
+    r.loop = host.shard_loop_stats(0);
     r.iso = host.isolated_shard_stats(0);
     const LatencyHistogram& clean = host.shard_lateness_clean(0);
     const LatencyHistogram& raw = host.shard_lateness_raw(0);
@@ -387,38 +376,14 @@ IsolatedSloResult RunIsolatedSloOnce(double scale) {
         fs.dispatches_by_source[static_cast<size_t>(TriggerSource::kBackupIntr)];
   }
 
-  {
-    ShardedRtHost::Config hc;
-    hc.num_shards = 1;
-    hc.measure_hz = 1'000'000'000;
-    hc.interrupt_clock_hz = 1'000;
-    hc.shard_profiles.resize(1);
-    hc.shard_profiles[0].profile = ShardedRtHost::ShardProfile::kIsolated;
-    hc.shard_profiles[0].backup =
-        ShardedRtHost::IsolatedBackup::kUncompensated;
-    ChainCtx chain;
-    hc.shard_setup = [&](size_t) { ChainFire(&chain); };
-    ShardedRtHost host(hc);
-    chain = {&host.runtime(), 0, 100, 0};
-    host.Start();
-    std::this_thread::sleep_for(uncomp_ms);
-    host.Stop();
-    ShardedRtHost::IsolatedShardStats u = host.isolated_shard_stats(0);
-    r.uncomp_backup_fires = u.backup_fires;
-    r.uncomp_backup_on_time = u.backup_on_time;
-    r.uncomp_backup_late = u.backup_true_late + u.backup_steal_late;
-  }
-
   r.pass_clean_p999 = r.clean_p999 < kSloTicks;
   r.pass_min_samples = r.clean_samples >= kMinCleanSamples;
   r.pass_zero_true_late = r.iso.backup_true_late == 0;
-  r.pass_backup_exercised =
-      r.iso.backup_fires > 0 && r.uncomp_backup_fires > 0;
-  r.pass_uncomp_late = r.uncomp_backup_late > 0;
+  r.pass_backup_exercised = r.iso.backup_fires > 0;
   r.pass_normal_piggyback = r.normal_piggyback_dispatches > 0;
   r.passed = r.pass_clean_p999 && r.pass_min_samples &&
              r.pass_zero_true_late && r.pass_backup_exercised &&
-             r.pass_uncomp_late && r.pass_normal_piggyback;
+             r.pass_normal_piggyback;
   return r;
 }
 
@@ -487,13 +452,11 @@ int Run(const std::string& json_path, double scale) {
       static_cast<unsigned long long>(slo.iso.calibrated_gap_ticks));
   std::printf(
       "  backup compensated: fires %llu on_time %llu true_late %llu "
-      "steal_late %llu | uncompensated: fires %llu late %llu\n",
+      "steal_late %llu\n",
       static_cast<unsigned long long>(slo.iso.backup_fires),
       static_cast<unsigned long long>(slo.iso.backup_on_time),
       static_cast<unsigned long long>(slo.iso.backup_true_late),
-      static_cast<unsigned long long>(slo.iso.backup_steal_late),
-      static_cast<unsigned long long>(slo.uncomp_backup_fires),
-      static_cast<unsigned long long>(slo.uncomp_backup_late));
+      static_cast<unsigned long long>(slo.iso.backup_steal_late));
   std::printf(
       "  normal sibling: dispatches %llu, piggybacked on trigger states %llu, "
       "via backup %llu\n",
@@ -556,13 +519,11 @@ int Run(const std::string& json_path, double scale) {
       "  \"isolated_slo\": {\n"
       "    \"note\": \"2-shard ShardedRtHost at 1 GHz: shard 0 isolated "
       "(spinning trigger loop, compensated software backup, 100-tick re-arm "
-      "chain), shard 1 normal (400 us chain). 'clean' excludes dispatches "
+      "chain), shard 1 sleeping (400 us chain). 'clean' excludes dispatches "
       "adjacent to a detected hypervisor-steal gap (> steal_threshold_ticks "
       "between consecutive clock reads) - same honesty rule as the CPU-time "
       "methodology; 'raw' keeps everything. Percentiles are bucket upper "
-      "bounds (LatencyHistogram, <=6%% relative error), max exact. The "
-      "uncompensated contrast arms the backup at the deadline instead of "
-      "deadline-minus-compensation, so its fires trail by one check gap.\",\n");
+      "bounds (LatencyHistogram, <=6%% relative error), max exact.\",\n");
   std::fprintf(
       f,
       "    \"slo_budget_ticks\": %llu,\n"
@@ -587,7 +548,7 @@ int Run(const std::string& json_path, double scale) {
       "\"steal_threshold_ticks\": %llu, \"steal_events\": %llu, "
       "\"stolen_ticks\": %llu, \"max_gap_ticks\": %llu, "
       "\"steal_suppressed_dispatches\": %llu, \"slo_violations\": %llu},\n",
-      static_cast<unsigned long long>(slo.iso.spin_checks),
+      static_cast<unsigned long long>(slo.loop.polls),
       static_cast<unsigned long long>(slo.iso.calibrated_gap_ticks),
       static_cast<unsigned long long>(slo.iso.steal_threshold_ticks),
       static_cast<unsigned long long>(slo.iso.steal_events),
@@ -600,8 +561,6 @@ int Run(const std::string& json_path, double scale) {
       "    \"backup_compensated\": {\"compensation_ticks\": %llu, "
       "\"fires\": %llu, \"on_time\": %llu, \"true_late\": %llu, "
       "\"steal_late\": %llu},\n"
-      "    \"backup_uncompensated\": {\"fires\": %llu, \"on_time\": %llu, "
-      "\"late\": %llu},\n"
       "    \"normal_sibling\": {\"dispatches\": %llu, "
       "\"trigger_piggyback_dispatches\": %llu, \"backup_dispatches\": "
       "%llu},\n",
@@ -610,9 +569,6 @@ int Run(const std::string& json_path, double scale) {
       static_cast<unsigned long long>(slo.iso.backup_on_time),
       static_cast<unsigned long long>(slo.iso.backup_true_late),
       static_cast<unsigned long long>(slo.iso.backup_steal_late),
-      static_cast<unsigned long long>(slo.uncomp_backup_fires),
-      static_cast<unsigned long long>(slo.uncomp_backup_on_time),
-      static_cast<unsigned long long>(slo.uncomp_backup_late),
       static_cast<unsigned long long>(slo.normal_dispatches),
       static_cast<unsigned long long>(slo.normal_piggyback_dispatches),
       static_cast<unsigned long long>(slo.normal_backup_dispatches));

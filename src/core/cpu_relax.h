@@ -5,8 +5,8 @@
 // sibling hyperthread (and on x86 eats the memory-order mis-speculation
 // penalty when the awaited line finally changes). The pause hint tells the
 // pipeline this is a spin, releasing those resources for the duration of one
-// iteration. Used by ShardedRtHost's isolated-profile trigger loop, which
-// spins instead of parking, and by the spin-gap calibration of that loop.
+// iteration. Used by ShardedRtHost's spin step, which a spinning shard takes
+// instead of parking, and by that shard's start-up spin-gap calibration.
 
 #ifndef SOFTTIMER_SRC_CORE_CPU_RELAX_H_
 #define SOFTTIMER_SRC_CORE_CPU_RELAX_H_

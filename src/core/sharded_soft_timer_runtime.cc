@@ -109,21 +109,15 @@ void RemoteIdMap::Grow() {
 
 ShardedSoftTimerRuntime::ShardedSoftTimerRuntime(const ClockSource* clock,
                                                  Config config)
-    : clock_(clock), config_(config) {
+    : clock_(clock) {
   assert(clock_ != nullptr);
-  assert(config_.num_shards >= 1 && config_.num_shards <= kTimerIdMaxShards);
-  assert(config_.max_producers >= 1 && config_.max_producers <= 256);
-  shards_.reserve(config_.num_shards);
-  for (size_t i = 0; i < config_.num_shards; ++i) {
+  assert(config.num_shards >= 1 && config.num_shards <= kTimerIdMaxShards);
+  shards_.reserve(config.num_shards);
+  for (size_t i = 0; i < config.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->facility =
-        std::make_unique<SoftTimerFacility>(clock_, config_.facility);
+        std::make_unique<SoftTimerFacility>(clock_, config.facility);
     shard->facility->set_event_retired_hook(&OnEventRetired, shard.get());
-    shard->channels.reserve(config_.max_producers);
-    for (size_t p = 0; p < config_.max_producers; ++p) {
-      shard->channels.push_back(
-          std::make_unique<SpscChannel<Command>>(kInitialRingCapacity));
-    }
     shards_.push_back(std::move(shard));
   }
 }
@@ -136,9 +130,20 @@ ShardedSoftTimerRuntime::~ShardedSoftTimerRuntime() = default;
 ShardedSoftTimerRuntime::ProducerToken ShardedSoftTimerRuntime::RegisterProducer() {
   std::lock_guard<std::mutex> lock(producer_mutex_);
   ProducerToken token;
-  if (producers_registered_ < config_.max_producers) {
-    token.index_ = producers_registered_++;
+  // ordering: registrations serialize on the mutex, so this thread holds
+  // the count's only writer role.
+  size_t index = producers_registered_.load(std::memory_order_relaxed);
+  if (index == kMaxProducers) {
+    return token;
   }
+  for (auto& shard : shards_) {
+    shard->channels[index] =
+        std::make_unique<SpscChannel<Command>>(kInitialRingCapacity);
+  }
+  // ordering: release publishes the channels built above; pairs with the
+  // acquire load of producers_registered_ in DrainRemote.
+  producers_registered_.store(index + 1, std::memory_order_release);
+  token.index_ = index;
   return token;
 }
 
@@ -176,10 +181,17 @@ size_t ShardedSoftTimerRuntime::DrainRemote(size_t shard) {
   // orderings live in src/core/remote_pending.h; the model checker replays
   // it (shipped orderings pass, weakened ones strand a command).
   s.remote_pending.BeginDrain();
+  // Read after the fence, like the rings: a producer registers before its
+  // first publish, so a count read here covers every producer whose publish
+  // the clear above may have overwritten (tests/model_check_test.cc).
+  // ordering: acquire pairs with the release store of producers_registered_
+  // in RegisterProducer, so the channels below are fully built.
+  size_t producers = producers_registered_.load(std::memory_order_acquire);
   size_t applied = 0;
   bool leftover = false;
   Command cmd;
-  for (auto& channel : s.channels) {
+  for (size_t p = 0; p < producers; ++p) {
+    SpscChannel<Command>* channel = s.channels[p].get();
     // Bounded sweep: at most one ring-full of commands per channel, so a
     // producer pushing at full tilt cannot pin the owner in this loop and
     // starve the shard's own dispatches. Anything beyond the budget re-raises

@@ -7,7 +7,8 @@
 // remote core. This runtime owns `num_shards` SoftTimerFacility shards (each
 // keeping the single-core zero-allocation hot path and `next_deadline_` fast
 // gate untouched) and, for the cross-core part, one lock-free SPSC command
-// channel per (producer thread, target shard) pair.
+// channel per (registered producer thread, target shard) pair, created when
+// the producer registers.
 //
 // Threading model:
 //  * Each shard has exactly one OWNER thread: the only thread that may call
@@ -17,7 +18,9 @@
 //    ProducerToken with ScheduleCrossCore / CancelCrossCore. Commands are
 //    drained at the target shard's trigger states, so remote work always
 //    executes on the owning core - the slab, queue, and facility state stay
-//    single-threaded and the paper's hot path stays intact.
+//    single-threaded and the paper's hot path stays intact. A drain sweeps
+//    only the channels of producers registered so far, so a runtime whose
+//    cross-core API goes unused holds no channel at all.
 //
 // Steady-state costs:
 //  * Local nothing-due trigger check: one relaxed load of the shard's
@@ -112,9 +115,6 @@ class ShardedSoftTimerRuntime {
   struct Config {
     // Per-core facility shards; at most kTimerIdMaxShards (the shard byte).
     size_t num_shards = 1;
-    // Producer threads that may be registered over the runtime's lifetime
-    // (rings are preallocated per (producer, shard) pair). At most 256.
-    size_t max_producers = 8;
     // Per-shard facility configuration, degradation policy included (a
     // deferred event keeps its id, so remote ids stay valid across it).
     SoftTimerFacility::Config facility;
@@ -123,6 +123,9 @@ class ShardedSoftTimerRuntime {
   // Initial capacity of each (producer, shard) command ring; a ring that
   // fills doubles.
   static constexpr size_t kInitialRingCapacity = 1024;
+  // Producers that may register over the runtime's lifetime: the remote
+  // id's producer field is 8 bits wide.
+  static constexpr size_t kMaxProducers = 256;
 
   ShardedSoftTimerRuntime(const ClockSource* clock, Config config);
   ~ShardedSoftTimerRuntime();
@@ -161,8 +164,10 @@ class ShardedSoftTimerRuntime {
     uint64_t ring_growths_ = 0;
   };
 
-  // Registers the calling thread as a command producer. Thread-safe.
-  // Returns an invalid token when max_producers are already registered.
+  // Registers the calling thread as a command producer and creates its
+  // command channel on every shard. Thread-safe, and safe while the shards
+  // run. Returns an invalid token when kMaxProducers are already
+  // registered.
   // A shard owner thread that wants to schedule onto *other* shards
   // registers too; its own shard stays reachable through the local calls.
   ProducerToken RegisterProducer();
@@ -319,8 +324,9 @@ class ShardedSoftTimerRuntime {
     // tests/model_check_test.cc). On its own cache line with `channels`,
     // the two fields producers touch, apart from the owner-written stats.
     alignas(kCacheLineBytes) RemotePendingFlag<> remote_pending;
-    // One command channel per producer slot.
-    std::vector<std::unique_ptr<SpscChannel<Command>>> channels;
+    // One command channel per registered producer: entry p exists once
+    // producers_registered_ exceeds p, and is never replaced.
+    std::array<std::unique_ptr<SpscChannel<Command>>, kMaxProducers> channels;
   };
 
   static void OnEventRetired(void* ctx, uint64_t cookie) {
@@ -340,12 +346,14 @@ class ShardedSoftTimerRuntime {
   void PushCommand(ProducerToken& token, size_t shard, Command&& cmd);
 
   const ClockSource* clock_;
-  Config config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   WakeFn wake_fn_ = nullptr;
   void* wake_ctx_ = nullptr;
   std::mutex producer_mutex_;  // registration only, never on a data path
-  size_t producers_registered_ = 0;
+  // Producers whose channels exist on every shard. Written under
+  // producer_mutex_ (release, after the channels are built); read by each
+  // drain (acquire, after BeginDrain's fence).
+  std::atomic<size_t> producers_registered_{0};
 };
 
 }  // namespace softtimer

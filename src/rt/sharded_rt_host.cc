@@ -16,11 +16,8 @@ ShardedRtHost::ShardedRtHost(Config config)
   assert(config_.num_shards >= 1);
   assert(config_.shard_profiles.empty() ||
          config_.shard_profiles.size() == config_.num_shards);
-  profiles_ = config_.shard_profiles;
-  profiles_.resize(config_.num_shards);  // missing entries default to kNormal
   ShardedSoftTimerRuntime::Config rc;
   rc.num_shards = config_.num_shards;
-  rc.max_producers = config_.max_producers;
   rc.facility.interrupt_clock_hz = config_.interrupt_clock_hz;
   runtime_ = std::make_unique<ShardedSoftTimerRuntime>(&clock_, rc);
   runtime_->set_wake_hook(&ShardedRtHost::WakeShard, this);
@@ -28,9 +25,11 @@ ShardedRtHost::ShardedRtHost(Config config)
   for (size_t i = 0; i < config_.num_shards; ++i) {
     loops_.push_back(std::make_unique<ShardLoop>());
     ShardLoop& loop = *loops_.back();
-    loop.isolated = profiles_[i].profile == ShardProfile::kIsolated;
-    loop.slo_budget = profiles_[i].slo_lateness_ticks;
-    // A plain normal shard needs no probe: the facility's own lateness
+    if (!config_.shard_profiles.empty()) {
+      loop.isolated = config_.shard_profiles[i].isolated;
+      loop.slo_budget = config_.shard_profiles[i].slo_lateness_ticks;
+    }
+    // A plain sleeping shard needs no probe: the facility's own lateness
     // histogram is both its raw and its clean record.
     if (loop.isolated || loop.slo_budget != 0) {
       runtime_->shard_facility(i).set_lateness_probe(
@@ -49,9 +48,7 @@ void ShardedRtHost::Start() {
   // itself synchronizes.
   stop_.store(false, std::memory_order_relaxed);
   for (size_t i = 0; i < loops_.size(); ++i) {
-    bool isolated = profiles_[i].profile == ShardProfile::kIsolated;
-    loops_[i]->thread = std::thread(
-        [this, i, isolated] { isolated ? RunShardIsolated(i) : RunShard(i); });
+    loops_[i]->thread = std::thread([this, i] { RunShard(i); });
   }
   running_ = true;
 }
@@ -135,13 +132,30 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
 
 void ShardedRtHost::RunShard(size_t shard) {
   ShardLoop& loop = *loops_[shard];
+  if (loop.isolated) {
+    // Calibrate before the set-up, so a timer the set-up schedules (e.g. a
+    // bench's self-re-arm chain) is not already overdue by the calibration
+    // burst when the first check runs.
+    CalibrateSpin(shard);
+  } else {
 #if defined(__linux__)
-  // Timer slack is per thread, so set it here, on the loop thread itself. A
-  // failure leaves the OS default: sleeps stay bounded, only less precise.
-  prctl(PR_SET_TIMERSLACK, kShardTimerSlackNs, 0, 0, 0);
+    // Timer slack is per thread, so set it here, on the loop thread itself.
+    // A failure leaves the OS default: sleeps stay bounded, only less
+    // precise.
+    prctl(PR_SET_TIMERSLACK, kShardTimerSlackNs, 0, 0, 0);
 #endif
+  }
   if (config_.shard_setup) {
     config_.shard_setup(shard);
+  }
+  if (loop.isolated) {
+    // The first spin gap and the first backup period count from here, so
+    // neither includes the set-up.
+    loop.check_tainted = false;
+    loop.prev_spin_tick = clock_.NowTicks();
+    loop.backup_deadline =
+        loop.prev_spin_tick +
+        runtime_->shard_facility(shard).ticks_per_backup_interval();
   }
   // ordering: both stop checks are relaxed - the loop re-polls continuously
   // and the sleep path rechecks under the eventcount, so staleness costs at
@@ -155,9 +169,9 @@ void ShardedRtHost::RunShard(size_t shard) {
     if (config_.queue_work.poll) {
       // Serve at most one claimed queue per iteration, interleaved with the
       // shard's own trigger checks; as long as queues keep yielding packets
-      // the shard stays in its loop (the `continue` skips the sleep), which
-      // is how an idle shard absorbs queues from a busy one - it simply
-      // keeps winning claims the busy shard has no spare iterations for.
+      // the shard stays busy (the `continue` skips the idle step), which is
+      // how an idle shard absorbs queues from a busy one - it simply keeps
+      // winning claims the busy shard has no spare iterations for.
       size_t drained = config_.queue_work.poll(shard, clock_.NowTicks());
       ++loop.stats.queue_polls;
       loop.stats.queue_packets += drained;
@@ -169,11 +183,89 @@ void ShardedRtHost::RunShard(size_t shard) {
     if (stop_.load(std::memory_order_relaxed)) {
       break;
     }
-    if (config_.idle_strategy == IdleStrategy::kBusyPoll) {
-      continue;
+    if (loop.isolated) {
+      SpinStep(shard);
+    } else {
+      SleepAndDispatch(shard);
     }
-    SleepAndDispatch(shard);
   }
+  // No spin step will ever vouch for the last check's dispatches; suppress
+  // them (they are in raw) rather than guess. A sleeping shard buffers none.
+  ResolvePendingClean(loop, /*trailing_steal=*/true);
+}
+
+void ShardedRtHost::CalibrateSpin(size_t shard) {
+  // CHRONOS-style cost model: the arm-to-fire overhead of the software
+  // backup is one spin check gap, so measure its median over a short spin
+  // burst (median rather than mean, so a hypervisor steal landing inside the
+  // burst cannot poison the calibration) and derive the steal threshold and
+  // the compensation from it. The threshold is a generous multiple of the
+  // median gap - far above scheduling jitter, far below any real preemption
+  // - and the compensation is at least the threshold, so a backup fired
+  // late WITHOUT a detected steal would contradict the threshold:
+  // backup_true_late is structurally zero.
+  constexpr size_t kSamples = 1024;
+  std::array<uint64_t, kSamples> gaps;
+  uint64_t prev = clock_.NowTicks();
+  for (size_t i = 0; i < kSamples; ++i) {
+    CpuRelax();
+    uint64_t now = clock_.NowTicks();
+    gaps[i] = now - prev;
+    prev = now;
+  }
+  std::nth_element(gaps.begin(), gaps.begin() + kSamples / 2, gaps.end());
+  uint64_t median_gap = gaps[kSamples / 2];
+  uint64_t steal_threshold =
+      std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
+  // A compensation rivaling the period would make the backup fire
+  // constantly; clamp and let steal classification absorb the rest.
+  uint64_t compensation = std::min(
+      std::max<uint64_t>(steal_threshold, 16),
+      runtime_->shard_facility(shard).ticks_per_backup_interval() / 2);
+  IsolatedShardStats& iso = loops_[shard]->iso;
+  iso.calibrated_gap_ticks = median_gap;
+  iso.steal_threshold_ticks = steal_threshold;
+  iso.compensation_ticks = compensation;
+}
+
+// SOFTTIMER_HOT
+void ShardedRtHost::SpinStep(size_t shard) {
+  ShardLoop& loop = *loops_[shard];
+  IsolatedShardStats& iso = loop.iso;
+  uint64_t now = clock_.NowTicks();
+  uint64_t gap = now - loop.prev_spin_tick;
+  loop.prev_spin_tick = now;
+  bool steal = gap > iso.steal_threshold_ticks;
+  // The dispatches since the previous spin step were waiting on this gap's
+  // verdict; the ones until the next step are tainted by it.
+  ResolvePendingClean(loop, steal);
+  loop.check_tainted = steal;
+  if (steal) {
+    ++iso.steal_events;
+    iso.stolen_ticks += gap;
+  }
+  if (gap > iso.max_gap_ticks) {
+    iso.max_gap_ticks = gap;
+  }
+  // The software backup, armed `compensation` ticks before its nominal
+  // deadline D.
+  if (now >= loop.backup_deadline - iso.compensation_ticks) {
+    ++loop.stats.backup_checks;
+    ++iso.backup_fires;
+    if (now <= loop.backup_deadline) {
+      ++iso.backup_on_time;
+    } else if (steal) {
+      ++iso.backup_steal_late;
+    } else {
+      ++iso.backup_true_late;
+    }
+    runtime_->OnBackupInterrupt(shard);
+    // Re-arm one period out from the fire (one-shot re-arm, so a long
+    // steal yields one late backup, not a burst of catch-up fires).
+    loop.backup_deadline =
+        now + runtime_->shard_facility(shard).ticks_per_backup_interval();
+  }
+  CpuRelax();
 }
 
 // SOFTTIMER_HOT
@@ -182,7 +274,7 @@ void ShardedRtHost::LatenessProbe(void* ctx,
   auto* loop = static_cast<ShardLoop*>(ctx);
   uint64_t lateness = info.lateness_ticks();
   if (!loop->isolated) {
-    // Normal profile with an SLO: no steal detection, every dispatch is
+    // Sleeping shard with an SLO: no steal detection, every dispatch is
     // clean and already in the facility's histogram.
     if (lateness > loop->slo_budget) {
       ++loop->iso.slo_violations;
@@ -195,10 +287,11 @@ void ShardedRtHost::LatenessProbe(void* ctx,
     ++loop->iso.steal_suppressed_dispatches;
     return;
   }
-  // Clean so far, but a steal could still have landed between the loop-top
-  // clock read and the facility's dispatch read. Buffer until the NEXT
-  // loop-top read vouches for the trailing gap (sandwich rule: a dispatch
-  // is clean only when the gaps on both sides of its check are clean).
+  // Clean so far, but a steal could still have landed between the last
+  // spin step's clock read and the facility's dispatch read. Buffer until
+  // the NEXT spin step vouches for the trailing gap (sandwich rule: a
+  // dispatch is clean only when the gaps on both sides of its check are
+  // clean).
   if (loop->pending_clean_count < kCleanBufferCap) {
     loop->pending_clean[loop->pending_clean_count++] = lateness;
   } else {
@@ -222,108 +315,6 @@ void ShardedRtHost::ResolvePendingClean(ShardLoop& loop, bool trailing_steal) {
     }
   }
   loop.pending_clean_count = 0;
-}
-
-uint64_t ShardedRtHost::CalibrateSpinGap() const {
-  // Median of a short spin burst: the typical clock-read-to-clock-read cost
-  // of one loop iteration. Median rather than mean so a hypervisor steal
-  // landing inside the burst cannot poison the calibration.
-  constexpr size_t kSamples = 1024;
-  std::array<uint64_t, kSamples> gaps;
-  uint64_t prev = clock_.NowTicks();
-  for (size_t i = 0; i < kSamples; ++i) {
-    CpuRelax();
-    uint64_t now = clock_.NowTicks();
-    gaps[i] = now - prev;
-    prev = now;
-  }
-  std::nth_element(gaps.begin(), gaps.begin() + kSamples / 2, gaps.end());
-  return gaps[kSamples / 2];
-}
-
-void ShardedRtHost::RunShardIsolated(size_t shard) {
-  ShardLoop& loop = *loops_[shard];
-  const ShardProfileConfig& prof = profiles_[shard];
-  SoftTimerFacility& facility = runtime_->shard_facility(shard);
-  // Startup calibration (CHRONOS-style cost model): the arm-to-fire overhead
-  // of the software backup is one spin check gap, so measure it and derive
-  // the steal threshold and the compensation from it. The threshold is a
-  // generous multiple of the median gap - far above scheduling jitter, far
-  // below any real preemption - and the compensation must be at least the
-  // threshold so that any backup fired late WITHOUT a detected steal would
-  // contradict the threshold, making backup_true_late structurally zero
-  // under kCompensated.
-  uint64_t median_gap = CalibrateSpinGap();
-  uint64_t steal_threshold =
-      std::max<uint64_t>(32 * std::max<uint64_t>(median_gap, 1), 4);
-  uint64_t backup_period = facility.ticks_per_backup_interval();
-  uint64_t compensation = 0;
-  if (prof.backup == IsolatedBackup::kCompensated) {
-    compensation = std::max<uint64_t>(steal_threshold, 16);
-    // A compensation rivaling the period would make the backup fire
-    // constantly; clamp and let steal classification absorb the rest.
-    compensation = std::min(compensation, backup_period / 2);
-  }
-  loop.iso.calibrated_gap_ticks = median_gap;
-  loop.iso.steal_threshold_ticks = steal_threshold;
-  loop.iso.compensation_ticks = compensation;
-  // Setup runs AFTER calibration so a timer it schedules (e.g. a bench's
-  // self-re-arm chain) is not already overdue by the calibration burst when
-  // the first check runs.
-  if (config_.shard_setup) {
-    config_.shard_setup(shard);
-  }
-
-  uint64_t prev_tick = clock_.NowTicks();
-  // Nominal deadline of the next software backup, and the (compensated)
-  // tick at which the loop actually performs it.
-  uint64_t backup_deadline = prev_tick + backup_period;
-  uint64_t backup_arm = backup_deadline - compensation;
-  // ordering: same relaxed-stop contract as RunShard - the loop re-polls
-  // continuously, so staleness costs at most one extra iteration.
-  while (!stop_.load(std::memory_order_relaxed)) {
-    uint64_t now = clock_.NowTicks();
-    uint64_t gap = now - prev_tick;
-    prev_tick = now;
-    bool steal = gap > steal_threshold;
-    // The previous check's dispatches were waiting on this gap's verdict.
-    ResolvePendingClean(loop, steal);
-    if (steal) {
-      ++loop.iso.steal_events;
-      loop.iso.stolen_ticks += gap;
-    }
-    if (gap > loop.iso.max_gap_ticks) {
-      loop.iso.max_gap_ticks = gap;
-    }
-    loop.check_tainted = steal;
-    ++loop.stats.polls;
-    ++loop.iso.spin_checks;
-    if (prof.backup != IsolatedBackup::kDisabled && now >= backup_arm) {
-      ++loop.stats.backup_checks;
-      ++loop.iso.backup_fires;
-      if (now <= backup_deadline) {
-        ++loop.iso.backup_on_time;
-      } else if (steal) {
-        ++loop.iso.backup_steal_late;
-      } else {
-        ++loop.iso.backup_true_late;
-      }
-      runtime_->OnBackupInterrupt(shard);
-      // Re-arm one period out from the fire (one-shot re-arm, so a long
-      // steal yields one late backup, not a burst of catch-up fires).
-      backup_deadline = now + backup_period;
-      backup_arm = backup_deadline - compensation;
-    } else {
-      runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
-    }
-    if (config_.shard_tick) {
-      config_.shard_tick(shard);
-    }
-    CpuRelax();
-  }
-  // No trailing gap will ever vouch for the last check's dispatches;
-  // suppress them (they are in raw) rather than guess.
-  ResolvePendingClean(loop, /*trailing_steal=*/true);
 }
 
 ShardedRtHost::ShardLoopStats ShardedRtHost::shard_loop_stats(

@@ -178,6 +178,35 @@ TEST(ShardedRuntimeAllocTest, SteadyStateCrossCoreCommandsAllocateNothing) {
   EXPECT_EQ(stats.remote_live, 0u);
 }
 
+TEST(ShardedRuntimeAllocTest, CommandRingsAreBuiltWhenAProducerRegisters) {
+  // A command carries an id, a delay and an enqueue tick besides its
+  // handler, so one ring's slots take at least this many bytes.
+  constexpr uint64_t kMinRingBytes =
+      ShardedSoftTimerRuntime::kInitialRingCapacity *
+      (3 * sizeof(uint64_t) + sizeof(SoftTimerFacility::Handler));
+  Simulator sim;
+  SimClockSource clock(&sim, 1'000'000);
+  ShardedSoftTimerRuntime::Config one_shard;
+  one_shard.num_shards = 1;
+  ShardedSoftTimerRuntime::Config two_shards;
+  two_shards.num_shards = 2;
+
+  ShardedSoftTimerRuntime single(&clock, one_shard);
+  uint64_t start = AllocProbeAllocBytes();
+  ASSERT_TRUE(single.RegisterProducer().valid());
+  uint64_t channel_bytes = AllocProbeAllocBytes() - start;
+  EXPECT_GE(channel_bytes, kMinRingBytes);
+
+  // Constructing a runtime builds no ring, however many shards it has.
+  start = AllocProbeAllocBytes();
+  ShardedSoftTimerRuntime rt(&clock, two_shards);
+  EXPECT_LT(AllocProbeAllocBytes() - start, kMinRingBytes);
+  // A registration builds one channel (one ring) per shard.
+  start = AllocProbeAllocBytes();
+  ASSERT_TRUE(rt.RegisterProducer().valid());
+  EXPECT_EQ(AllocProbeAllocBytes() - start, 2 * channel_bytes);
+}
+
 // --- pacing wheel: enqueue / re-rate / dispatch stay off the heap ---------
 
 class NullSink : public PacingWheel::BatchSink {

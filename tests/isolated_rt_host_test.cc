@@ -1,10 +1,10 @@
-// Isolated-profile ShardedRtHost behaviour (DESIGN.md section 14): the
-// dedicated spinning trigger loop beside a normal sleeping shard, cross-core
-// scheduling onto the spinner from a normal producer, shutdown while the
-// spin is in flight, the compensated/disabled software-backup contract, and
-// the lateness histograms + SLO accounting fed by the facility. Real
-// threads and wall-clock sleeps; bounds are loose for loaded CI machines.
-// Runs under the `cross-thread` and `isolated` labels / tsan preset.
+// Spinning ("isolated") ShardedRtHost shards (DESIGN.md section 14): a
+// spinning shard beside a sleeping one, cross-core scheduling onto the
+// spinner from a producer thread, shutdown while the spin is in flight, the
+// compensated software-backup contract, and the lateness histograms + SLO
+// accounting fed by the facility. Real threads and wall-clock sleeps;
+// bounds are loose for loaded CI machines. Runs under the `cross-thread`
+// and `isolated` labels / tsan preset.
 
 #include <gtest/gtest.h>
 
@@ -17,17 +17,14 @@
 namespace softtimer {
 namespace {
 
-using IsolatedBackup = ShardedRtHost::IsolatedBackup;
-using ShardProfile = ShardedRtHost::ShardProfile;
-
 ShardedRtHost::Config MixedConfig() {
   ShardedRtHost::Config cfg;
   cfg.num_shards = 2;
   cfg.measure_hz = 1'000'000;      // 1 tick = 1 us
   cfg.interrupt_clock_hz = 1'000;  // 1 ms backup period
   cfg.shard_profiles.resize(2);
-  cfg.shard_profiles[0].profile = ShardProfile::kIsolated;
-  return cfg;  // shard 1 stays kNormal
+  cfg.shard_profiles[0].isolated = true;
+  return cfg;  // shard 1 sleeps
 }
 
 TEST(IsolatedRtHostTest, MixedProfileHostFiresOnBothShards) {
@@ -51,23 +48,21 @@ TEST(IsolatedRtHostTest, MixedProfileHostFiresOnBothShards) {
   }
   host.Stop();
   EXPECT_EQ(fired.load(), 2);
-  // The spinner never parked on its eventcount; the normal shard slept.
+  // The spinner never parked on its eventcount; the sleeping shard slept.
   ShardedRtHost::ShardLoopStats iso_loop = host.shard_loop_stats(0);
-  ShardedRtHost::ShardLoopStats normal_loop = host.shard_loop_stats(1);
+  ShardedRtHost::ShardLoopStats sleeping_loop = host.shard_loop_stats(1);
   EXPECT_EQ(iso_loop.sleeps, 0u);
   EXPECT_GT(iso_loop.polls, 0u);
-  EXPECT_GT(normal_loop.sleeps, 0u);
-  // Both dispatches landed in their shard's raw histogram; on the normal
+  EXPECT_GT(sleeping_loop.sleeps, 0u);
+  // Both dispatches landed in their shard's raw histogram; on the sleeping
   // shard clean is raw.
   EXPECT_EQ(host.shard_lateness_raw(0).count(), 1u);
   EXPECT_EQ(host.shard_lateness_raw(1).count(), 1u);
   EXPECT_EQ(host.shard_lateness_clean(1).count(), 1u);
-  // The spin loop calibrated itself and ran.
-  ShardedRtHost::IsolatedShardStats iso = host.isolated_shard_stats(0);
-  EXPECT_GT(iso.spin_checks, 0u);
-  EXPECT_GT(iso.steal_threshold_ticks, 0u);
-  // The normal shard reports no spin-loop state.
-  EXPECT_EQ(host.isolated_shard_stats(1).spin_checks, 0u);
+  // The spinning shard calibrated itself; the sleeping shard reports no
+  // spin-step state.
+  EXPECT_GT(host.isolated_shard_stats(0).steal_threshold_ticks, 0u);
+  EXPECT_EQ(host.isolated_shard_stats(1).steal_threshold_ticks, 0u);
 }
 
 TEST(IsolatedRtHostTest, CrossCoreScheduleOntoIsolatedShardNeedsNoWakeup) {
@@ -130,8 +125,7 @@ TEST(IsolatedRtHostTest, CompensatedBackupNeverFiresTrulyLate) {
   cfg.measure_hz = 1'000'000;
   cfg.interrupt_clock_hz = 1'000;  // 1 ms period: dozens of fires below
   cfg.shard_profiles.resize(1);
-  cfg.shard_profiles[0].profile = ShardProfile::kIsolated;
-  cfg.shard_profiles[0].backup = IsolatedBackup::kCompensated;
+  cfg.shard_profiles[0].isolated = true;
   ShardedRtHost host(cfg);
   host.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
@@ -147,42 +141,12 @@ TEST(IsolatedRtHostTest, CompensatedBackupNeverFiresTrulyLate) {
   EXPECT_EQ(host.shard_loop_stats(0).backup_checks, iso.backup_fires);
 }
 
-TEST(IsolatedRtHostTest, DisabledBackupNeverChecksButTimersStillFire) {
-  ShardedRtHost::Config cfg;
-  cfg.num_shards = 1;
-  cfg.measure_hz = 1'000'000;
-  cfg.interrupt_clock_hz = 1'000;
-  cfg.shard_profiles.resize(1);
-  cfg.shard_profiles[0].profile = ShardProfile::kIsolated;
-  cfg.shard_profiles[0].backup = IsolatedBackup::kDisabled;
-  ShardedRtHost host(cfg);
-  host.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  auto token = host.RegisterProducer();
-  std::atomic<int> fired{0};
-  host.runtime().ScheduleCrossCore(
-      token, 0, 200, [&](const SoftTimerFacility::FireInfo&) {
-        fired.fetch_add(1, std::memory_order_relaxed);
-      });
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fired.load(std::memory_order_relaxed) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  host.Stop();
-  EXPECT_EQ(fired.load(), 1);
-  ShardedRtHost::IsolatedShardStats iso = host.isolated_shard_stats(0);
-  EXPECT_EQ(iso.backup_fires, 0u);
-  EXPECT_EQ(host.shard_loop_stats(0).backup_checks, 0u);
-}
-
 TEST(IsolatedRtHostTest, SloViolationsCountOverBudgetDispatches) {
   // Quiesced (never Start()ed) host: the facility still feeds the
   // histograms and SLO counter when the owner thread drives checks by hand,
   // which makes the over-budget case deterministic - sleep far past the
-  // deadline, then check. Shard 1 (normal profile) carries the SLO here: on
-  // a normal shard every dispatch is clean, so the counter must see it.
+  // deadline, then check. Shard 1 (a sleeping shard) carries the SLO here:
+  // on a sleeping shard every dispatch is clean, so the counter must see it.
   ShardedRtHost::Config cfg = MixedConfig();
   cfg.shard_profiles[1].slo_lateness_ticks = 50'000;  // 50 ms budget
   ShardedRtHost host(cfg);
@@ -217,7 +181,7 @@ TEST(IsolatedRtHostTest, SloViolationsCountOverBudgetDispatches) {
 TEST(IsolatedRtHostTest, RuntimeShardStatsCarryLatenessSummary) {
   // Each shard facility's Stats::lateness_ticks histogram is the shard's one
   // lateness record: the runtime exposes it through the shard facility, and
-  // the host's raw accessor returns that same histogram, isolated or not.
+  // the host's raw accessor returns that same histogram, spinning or not.
   ShardedRtHost::Config cfg = MixedConfig();
   ShardedRtHost host(cfg);
   std::atomic<int> fired{0};

@@ -3,11 +3,11 @@
 //
 //  1. The shipped ordering policies pass every explored schedule - SpscRing,
 //     SpscChannel (the growing command channel), RemotePendingFlag (the
-//     DrainRemote publish/drain protocol), and SleeperGate (the eventcount
-//     sleep/wake protocol) are instantiated
-//     against ModelCheckerTraits exactly as production instantiates them
-//     against StdAtomicsTraits, and the checker explores the bounded
-//     schedule space to exhaustion.
+//     DrainRemote publish/drain protocol, also with a producer registering
+//     mid-drain), and SleeperGate (the eventcount sleep/wake protocol) are
+//     instantiated against ModelCheckerTraits exactly as production
+//     instantiates them against StdAtomicsTraits, and the checker explores
+//     the bounded schedule space to exhaustion.
 //
 //  2. Mutation self-checks - weakening one shipped ordering at a time must
 //     make the checker reproduce the corresponding historical race. This is
@@ -22,6 +22,7 @@
 // acquire/release weakenings on the ring surface as happens-before data
 // races on the slot bytes.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -457,6 +458,93 @@ TEST(SpscChannelModel, ShippedGrowthStrandsNoCommand) {
   EXPECT_TRUE(r.ok) << r.Summary();
   EXPECT_TRUE(r.exhausted) << r.Summary();
   EXPECT_EQ(r.horizon_hits, 0u) << r.Summary();
+}
+
+// --- Producer registration: a channel built while the owner drains -------
+//
+// Mirrors ShardedSoftTimerRuntime::RegisterProducer racing DrainRemote.
+// Producer 0 registered before the run and has one command queued and
+// published. While the owner runs one drain pass (poll, clear+fence, read
+// the registered count, sweep that many channels, re-raise on leftovers),
+// producer 1 registers - builds its channel, then release-stores the count
+// - and pushes and publishes one command. Afterwards both commands were
+// consumed or the flag is still raised. The count is read after the fence,
+// like the rings: read before it, the owner can see one producer, sweep
+// only channel 0 and then clear producer 1's publish, stranding its command
+// in a channel no drain is told about.
+
+template <bool kCountAfterFence>
+ExploreResult ExploreProducerRegistration() {
+  ModelConfig cfg;
+  cfg.preemption_bound = 2;  // the stranding needs only one preemption
+  return Explore(cfg, [](ModelExecution& ex) {
+    using Channel = SpscChannel<int, ModelCheckerTraits>;
+    struct State {
+      std::array<std::unique_ptr<Channel>, 2> channels;
+      ModelAtomic<size_t> registered{1};
+      RemotePendingFlag<ModelCheckerTraits> pending;
+      int consumed = 0;
+    };
+    auto st = std::make_shared<State>();
+    st->channels[0] = std::make_unique<Channel>(2);
+    int first = 1;
+    st->channels[0]->Push(std::move(first));
+    st->pending.Publish();
+    ex.Thread([st] {  // producer 1: register, push, publish
+      auto channel = std::make_unique<Channel>(2);
+      ModelCheckerTraits::OnNonAtomicWrite(&st->channels[1]);
+      st->channels[1] = std::move(channel);
+      st->registered.store(2, std::memory_order_release);
+      int cmd = 2;
+      st->channels[1]->Push(std::move(cmd));
+      st->pending.Publish();
+    });
+    ex.Thread([st] {  // shard owner: one DrainRemote-shaped pass
+      if (!st->pending.AnyPendingRelaxed()) {
+        return;
+      }
+      size_t producers = 0;
+      if (!kCountAfterFence) {
+        producers = st->registered.load(std::memory_order_acquire);
+      }
+      st->pending.BeginDrain();
+      if (kCountAfterFence) {
+        producers = st->registered.load(std::memory_order_acquire);
+      }
+      bool leftover = false;
+      for (size_t p = 0; p < producers; ++p) {
+        ModelCheckerTraits::OnNonAtomicRead(&st->channels[p]);
+        Channel& channel = *st->channels[p];
+        int cmd = 0;
+        size_t budget = channel.capacity();
+        while (budget-- > 0 && channel.TryPop(cmd)) {
+          ++st->consumed;
+        }
+        if (!channel.EmptyRelaxed()) {
+          leftover = true;
+        }
+      }
+      if (leftover) {
+        st->pending.Reraise();
+      }
+    });
+    ex.Finally([st] {
+      MODEL_CHECK(st->consumed == 2 || st->pending.AnyPendingRelaxed());
+    });
+  });
+}
+
+TEST(ProducerRegistrationModel, ShippedCountReadNeverStrandsACommand) {
+  ExploreResult r = ExploreProducerRegistration<true>();
+  EXPECT_TRUE(r.ok) << r.Summary();
+  EXPECT_TRUE(r.exhausted) << r.Summary();
+  EXPECT_EQ(r.horizon_hits, 0u) << r.Summary();
+}
+
+TEST(ProducerRegistrationModel, CountReadBeforeTheFenceStrandsACommand) {
+  ExploreResult r = ExploreProducerRegistration<false>();
+  ASSERT_FALSE(r.ok) << r.Summary();
+  EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
 }
 
 // --- SleeperGate: the eventcount sleep/wake protocol --------------------

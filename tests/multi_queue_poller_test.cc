@@ -288,7 +288,9 @@ TEST(MultiQueuePollerTest, IdleCoresAbsorbQueuesFromBusyOwner) {
 
 // --- ShardedRtHost integration ------------------------------------------
 
-TEST(MultiQueuePollerHostTest, ShardsServeQueuesAndBoundSleepsByGate) {
+// Two shards serve six governed queues under an open-loop producer; with
+// `spinning_shard0`, shard 0 spins beside a sleeping shard 1.
+void ServeQueuesOnTwoShards(bool spinning_shard0) {
   constexpr size_t kQueues = 6;
   MultiQueuePoller::Config pcfg;
   pcfg.governor = TestGovernor();
@@ -311,6 +313,8 @@ TEST(MultiQueuePollerHostTest, ShardsServeQueuesAndBoundSleepsByGate) {
     return poller.PollOnce(static_cast<uint32_t>(shard), now);
   };
   cfg.queue_work.next_due = [&] { return poller.next_due_tick(); };
+  cfg.shard_profiles.resize(2);
+  cfg.shard_profiles[0].isolated = spinning_shard0;
   ShardedRtHost host(cfg);
   host.Start();
 
@@ -350,6 +354,17 @@ TEST(MultiQueuePollerHostTest, ShardsServeQueuesAndBoundSleepsByGate) {
   // The shards kept up with the offered load (loose: CI shares one core
   // between producer, shards, and the test thread).
   EXPECT_GE(drained * 2, produced);
+}
+
+TEST(MultiQueuePollerHostTest, ShardsServeQueuesAndBoundSleepsByGate) {
+  {
+    SCOPED_TRACE("both shards sleep");
+    ServeQueuesOnTwoShards(/*spinning_shard0=*/false);
+  }
+  {
+    SCOPED_TRACE("shard 0 spins");
+    ServeQueuesOnTwoShards(/*spinning_shard0=*/true);
+  }
 }
 
 TEST(MultiQueuePollerHostTest, QuietQueuesDoNotBusySpinTheShards) {

@@ -18,12 +18,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-ShardedRtHost::Config OneShard(ShardedRtHost::IdleStrategy idle) {
+// `isolated` picks the shard's idle step: spin (true) or sleep (false).
+ShardedRtHost::Config OneShard(bool isolated) {
   ShardedRtHost::Config cfg;
   cfg.num_shards = 1;
   cfg.measure_hz = 1'000'000;      // 1 tick = 1 us
   cfg.interrupt_clock_hz = 1'000;  // 1 ms backup period
-  cfg.idle_strategy = idle;
+  cfg.shard_profiles.resize(1);
+  cfg.shard_profiles[0].isolated = isolated;
   return cfg;
 }
 
@@ -60,9 +62,9 @@ TEST(MonotonicClockSourceTest, UntilTickIsZeroForPast) {
 }
 
 TEST(RtHostTest, EventFiresFromApplicationPolls) {
-  // A busy event loop: kBusyPoll never sleeps, and shard_tick is the
+  // A busy event loop: a spinning shard never sleeps, and shard_tick is the
   // application work the loop runs between trigger-state checks.
-  ShardedRtHost::Config cfg = OneShard(ShardedRtHost::IdleStrategy::kBusyPoll);
+  ShardedRtHost::Config cfg = OneShard(/*isolated=*/true);
   uint64_t work_items = 0;  // loop thread only; read after Stop()
   cfg.shard_tick = [&](size_t) { ++work_items; };
   ShardedRtHost host(cfg);
@@ -85,8 +87,21 @@ TEST(RtHostTest, EventFiresFromApplicationPolls) {
   EXPECT_GT(work_items, 0u);
 }
 
+TEST(RtHostTest, SpinningLoopRunsTheBackupWithNothingScheduled) {
+  // A spinning shard never sleeps, yet its software backup still fires:
+  // with nothing scheduled and a 1 ms period, about 20 backup checks in
+  // 20 ms.
+  ShardedRtHost host(OneShard(/*isolated=*/true));
+  host.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  host.Stop();
+  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(0);
+  EXPECT_GT(loop.backup_checks, 0u);
+  EXPECT_EQ(loop.sleeps, 0u);
+}
+
 TEST(RtHostTest, SleepAndDispatchHonorsDeadline) {
-  ShardedRtHost::Config cfg = OneShard(ShardedRtHost::IdleStrategy::kSleep);
+  ShardedRtHost::Config cfg = OneShard(/*isolated=*/false);
   std::atomic<bool> fired{false};
   ShardedRtHost* self = nullptr;  // set before Start(), read on the loop
   bool armed = false;             // loop thread only
@@ -119,7 +134,7 @@ TEST(RtHostTest, SleepAndDispatchHonorsDeadline) {
 }
 
 TEST(RtHostTest, SleepWithoutEventsBoundsAtBackupPeriod) {
-  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  ShardedRtHost host(OneShard(/*isolated=*/false));
   auto start = Clock::now();
   host.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -135,7 +150,7 @@ TEST(RtHostTest, SleepWithoutEventsBoundsAtBackupPeriod) {
 }
 
 TEST(RtHostTest, RunForDispatchesPeriodicWork) {
-  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  ShardedRtHost host(OneShard(/*isolated=*/false));
   SoftTimerFacility& facility = host.runtime().shard_facility(0);
   std::atomic<int> fires{0};
   // Handlers run on the shard's loop thread, which owns the facility.
@@ -154,7 +169,7 @@ TEST(RtHostTest, RunForDispatchesPeriodicWork) {
 }
 
 TEST(RtHostTest, LatenessStaysWithinPaperBoundUnderSleepLoop) {
-  ShardedRtHost host(OneShard(ShardedRtHost::IdleStrategy::kSleep));
+  ShardedRtHost host(OneShard(/*isolated=*/false));
   SoftTimerFacility& facility = host.runtime().shard_facility(0);
   uint64_t x = facility.ticks_per_backup_interval();
   int fires = 0;  // loop thread only; read after Stop()

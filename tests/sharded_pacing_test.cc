@@ -71,7 +71,7 @@ TEST(ShardedPacingTest, RtHostShardsPaceConcurrently) {
 
   ShardedRtHost::Config cfg;
   cfg.num_shards = 2;
-  cfg.idle_strategy = ShardedRtHost::IdleStrategy::kBusyPoll;
+  cfg.shard_profiles.assign(2, {.isolated = true});
   cfg.shard_setup = [&](size_t shard) {
     auto p = std::make_unique<ShardPacing>(
         &host_ptr->runtime().shard_facility(shard), &sinks[shard]);

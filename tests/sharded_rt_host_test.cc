@@ -1,5 +1,5 @@
 // ShardedRtHost behaviour: per-shard trigger loops, cross-core wakeups
-// cutting through backup-bounded sleeps, a normal shard's lateness record
+// cutting through backup-bounded sleeps, a sleeping shard's lateness record
 // and its loop thread's timer slack. Real threads and wall-clock sleeps;
 // bounds are loose for loaded CI machines. Runs under the `cross-thread`
 // label / tsan preset.
@@ -66,8 +66,8 @@ TEST(ShardedRtHostTest, CrossCoreEventFiresWhileShardsSleep) {
 }
 
 TEST(ShardedRtHostTest, NormalShardLatenessIsTheFacilityHistogram) {
-  // Quiesced (never Start()ed) host driven by hand: a normal shard without an
-  // SLO carries no lateness probe, so its raw and clean histograms are the
+  // Quiesced (never Start()ed) host driven by hand: a sleeping shard without
+  // an SLO carries no lateness probe, so its raw and clean histograms are the
   // facility's own record and count exactly its dispatches.
   ShardedRtHost::Config cfg;
   cfg.num_shards = 2;

@@ -381,13 +381,21 @@ TEST(ShardedRuntimeTest, WakeHookFiresOnPublish) {
 
 TEST(ShardedRuntimeTest, ProducerRegistrationIsBounded) {
   ManualClock clock;
-  ShardedSoftTimerRuntime::Config cfg = Cfg(1);
-  cfg.max_producers = 2;
-  ShardedSoftTimerRuntime rt(&clock, cfg);
-  EXPECT_TRUE(rt.RegisterProducer().valid());
-  EXPECT_TRUE(rt.RegisterProducer().valid());
+  ShardedSoftTimerRuntime rt(&clock, Cfg(1));
+  // The remote id's 8-bit producer field bounds the registrations.
+  ShardedSoftTimerRuntime::ProducerToken last;
+  for (size_t p = 0; p < ShardedSoftTimerRuntime::kMaxProducers; ++p) {
+    last = rt.RegisterProducer();
+    ASSERT_TRUE(last.valid());
+    EXPECT_EQ(last.index(), p);
+  }
   auto overflow = rt.RegisterProducer();
   EXPECT_FALSE(overflow.valid());
+  // The last producer's channel is swept like the first's.
+  EXPECT_TRUE(rt.ScheduleCrossCore(last, 0, 10,
+                                   [](const SoftTimerFacility::FireInfo&) {})
+                  .valid());
+  EXPECT_EQ(rt.DrainRemote(0), 1u);
   // An invalid token is rejected, not UB.
   EXPECT_FALSE(rt.ScheduleCrossCore(overflow, 0, 10,
                                     [](const SoftTimerFacility::FireInfo&) {})

@@ -35,7 +35,6 @@ ShardedRtHost::Config StressCfg(size_t shards) {
   ShardedRtHost::Config cfg;
   cfg.num_shards = shards;
   cfg.interrupt_clock_hz = 4'000;  // 250 us backup: bounds test runtime
-  cfg.max_producers = 8;
   return cfg;
 }
 
@@ -137,13 +136,14 @@ TEST(ShardedStressTest, ConcurrentScheduleCancelFire) {
 
 TEST(ShardedStressTest, PublishDrainRaceNeverStrandsACommand) {
   // Regression stress for the drain-sweep store-load fence (DrainRemote):
-  // a busy-polling owner races a drain sweep against every publish. Without
+  // a spinning owner races a drain sweep against every publish. Without
   // the fence pairing, the owner's pending-flag clear can overwrite the
   // producer's set while the sweep's ring reads miss the pushed command,
   // stranding it with the flag down - the ping-pong below then never sees
   // its event fire and times out.
   ShardedRtHost::Config cfg = StressCfg(1);
-  cfg.idle_strategy = ShardedRtHost::IdleStrategy::kBusyPoll;
+  cfg.shard_profiles.resize(1);
+  cfg.shard_profiles[0].isolated = true;
   ShardedRtHost host(cfg);
   host.Start();
   auto token = host.RegisterProducer();

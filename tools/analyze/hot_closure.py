@@ -24,10 +24,10 @@ verifies five rule classes across the whole closure:
                          rationale must name (or fuzzily imply) a pairing
                          site of the opposite polarity that actually exists.
 
-Entry points are (a) every function preceded by a standalone
-`// SOFTTIMER_HOT` marker line and (b) the handler-dispatch contexts named in
-DISPATCH_CONTEXTS (facility dispatch, multi-queue poll, isolated-shard
-trigger loop, pacing-wheel drain).
+Entry points are the functions preceded by a standalone `// SOFTTIMER_HOT`
+marker line. The handler-dispatch contexts (facility dispatch, multi-queue
+poll, a spinning shard's spin step, pacing-wheel drain) carry the marker
+like every other entry point.
 
 Annotation vocabulary (all standalone comment lines, optional `: reason`):
 
@@ -89,17 +89,6 @@ MARKER_RE = re.compile(
 MARKER_WINDOW = 10
 
 INDIRECT = "__indirect_call"
-
-# Handler-dispatch contexts: every one of these runs inside a borrowed
-# trigger state (or the spinning stand-in for one), so their whole closure is
-# subject to the trigger-context rules even without a SOFTTIMER_HOT marker.
-# Matched as substrings of the demangled/qualified function name.
-DISPATCH_CONTEXTS = (
-    ("facility-dispatch", "softtimer::SoftTimerFacility::DispatchFired("),
-    ("multi-queue-poll", "softtimer::MultiQueuePoller::PollOnce("),
-    ("isolated-shard-loop", "softtimer::ShardedRtHost::RunShardIsolated("),
-    ("pacing-wheel-drain", "softtimer::PacingWheel::Drain("),
-)
 
 # --- Sink classification ----------------------------------------------------
 
@@ -662,10 +651,9 @@ class Finding:
 
 
 class Entry:
-    def __init__(self, key, name, kind):
+    def __init__(self, key, name):
         self.key = key
         self.name = name
-        self.kind = kind  # "hot" | "dispatch"
 
 
 def match_markers_to_nodes(graph, marked, window=MARKER_WINDOW):
@@ -726,30 +714,7 @@ class ClosureAnalyzer:
                 seen.add(key)
                 node = self.graph.nodes[key]
                 name = node.display().split(" [with")[0]
-                out.append(Entry(key, f"{name} ({relpath}:{line})", "hot"))
-        for ctx_name, pattern in DISPATCH_CONTEXTS:
-            matched = False
-            coincident = False
-            for key, node in self.graph.nodes.items():
-                if node.demangled and pattern in node.demangled:
-                    matched = True
-                    if key in seen:
-                        # Already verified under its SOFTTIMER_HOT marker;
-                        # don't analyze the same closure twice.
-                        coincident = True
-                        continue
-                    seen.add(key)
-                    out.append(Entry(key, f"{ctx_name}: {pattern[:-1]}",
-                                     "dispatch"))
-            if coincident:
-                self.notes.append(
-                    f"note: dispatch context '{ctx_name}' is also "
-                    "SOFTTIMER_HOT-marked; its closure is verified under "
-                    "the HOT entry of the same name")
-            elif not matched:
-                self.notes.append(
-                    f"warning: dispatch context '{ctx_name}' matched no "
-                    f"node (pattern '{pattern}') - context list stale?")
+                out.append(Entry(key, f"{name} ({relpath}:{line})"))
         return out
 
     def _edge_waived(self, rule, src, dst):
@@ -1138,19 +1103,16 @@ def run_analysis(root, entries, annotations, waivers, frontend,
 def report(findings, notes, entry_stats, errors, n_sites, waivers,
            verbose=False):
     out = []
-    hot = [e for e, _ in entry_stats if e.kind == "hot"]
-    dispatch = [e for e, _ in entry_stats if e.kind == "dispatch"]
     total_nodes = sum(st["nodes"] for _, st in entry_stats)
     indirect = sum(st["indirect"] for _, st in entry_stats)
-    out.append(f"hot_closure: verified {len(hot)} SOFTTIMER_HOT entry "
-               f"point(s) + {len(dispatch)} additional dispatch "
-               "context(s); "
+    out.append(f"hot_closure: verified {len(entry_stats)} SOFTTIMER_HOT "
+               "entry point(s); "
                f"{total_nodes} closure nodes traversed, "
                f"{indirect} indirect-call boundary(ies), "
                f"{n_sites} weakened-atomic site(s) checked for pairing")
     if verbose:
         for e, st in entry_stats:
-            out.append(f"  [{e.kind}] {e.name}: {st['nodes']} nodes, "
+            out.append(f"  {e.name}: {st['nodes']} nodes, "
                        f"{st['indirect']} indirect")
     for f, err in errors:
         out.append(f"warning: failed to analyze TU {f}: {err.splitlines()[0] if err else ''}")
