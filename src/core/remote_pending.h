@@ -3,8 +3,9 @@
 //
 // One flag per shard. Producers push a command into their ring and then
 // Publish(); the shard owner polls AnyPendingRelaxed() in its trigger-state
-// check and, when it reads non-zero, runs BeginDrain() followed by a sweep
-// of every ring, calling Reraise() if a bounded sweep left commands behind.
+// check and, when it reads non-zero, runs DrainChannels below: BeginDrain(),
+// a sweep of every registered producer's channel, and Reraise() if a
+// bounded sweep left commands behind.
 //
 // The protocol is a store-buffering (Dekker) shape, and its orderings are
 // exactly the PR 3 review fix:
@@ -26,16 +27,24 @@
 // the C++ memory model but is not separable under the checker's TSO lens
 // (store-store order is preserved there); see DESIGN.md section 11.
 //
+// ShardedSoftTimerRuntime::DrainRemote and the model checker's drain cases
+// run the same DrainChannels, so a reordered step fails the model check.
+//
 // Traits/Ordering parameters: see src/core/atomics_traits.h. Production uses
 // the defaults; never override Ordering outside the model-check suite.
 
 #ifndef SOFTTIMER_SRC_CORE_REMOTE_PENDING_H_
 #define SOFTTIMER_SRC_CORE_REMOTE_PENDING_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "src/core/atomics_traits.h"
+#include "src/core/spsc_ring.h"
 
 namespace softtimer {
 
@@ -88,6 +97,49 @@ class RemotePendingFlag {
  private:
   typename Traits::template Atomic<uint32_t> flag_{0};
 };
+
+// The owner's drain of one shard: clear the flag and fence, read how many
+// producers are registered, sweep each one's channel, and re-raise the flag
+// if a sweep left commands behind. `registered` counts the leading entries
+// of `channels` that exist; `apply` takes each popped command. Returns the
+// commands applied.
+template <typename T, typename Traits, typename Ordering, size_t N,
+          typename Apply>
+size_t DrainChannels(
+    RemotePendingFlag<Traits, Ordering>& pending,
+    const typename Traits::template Atomic<size_t>& registered,
+    std::array<std::unique_ptr<SpscChannel<T, Traits>>, N>& channels,
+    Apply&& apply) {
+  pending.BeginDrain();
+  // Read after the fence, like the rings: a producer registers before its
+  // first publish, so a count read here covers every producer whose publish
+  // the clear above may have overwritten.
+  // ordering: acquire pairs with the release store of the count (see
+  // RegisterProducer), so every channel DrainChannels sweeps is fully built.
+  size_t producers = registered.load(std::memory_order_acquire);
+  size_t applied = 0;
+  bool leftover = false;
+  T cmd;
+  for (size_t p = 0; p < producers; ++p) {
+    Traits::OnNonAtomicRead(&channels[p]);
+    SpscChannel<T, Traits>& channel = *channels[p];
+    // Bounded sweep: at most one ring-full of commands per channel, so a
+    // producer pushing at full tilt cannot pin the owner here and starve
+    // the shard's own dispatches. The rest waits for the next check.
+    size_t budget = channel.capacity();
+    while (budget-- > 0 && channel.TryPop(cmd)) {
+      apply(std::move(cmd));
+      ++applied;
+    }
+    if (!channel.EmptyRelaxed()) {
+      leftover = true;
+    }
+  }
+  if (leftover) {
+    pending.Reraise();
+  }
+  return applied;
+}
 
 }  // namespace softtimer
 

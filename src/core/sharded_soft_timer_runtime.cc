@@ -140,8 +140,8 @@ ShardedSoftTimerRuntime::ProducerToken ShardedSoftTimerRuntime::RegisterProducer
     shard->channels[index] =
         std::make_unique<SpscChannel<Command>>(kInitialRingCapacity);
   }
-  // ordering: release publishes the channels built above; pairs with the
-  // acquire load of producers_registered_ in DrainRemote.
+  // ordering: this RegisterProducer release publishes the channels built
+  // above; pairs with the acquire load of the count (see DrainChannels).
   producers_registered_.store(index + 1, std::memory_order_release);
   token.index_ = index;
   return token;
@@ -174,40 +174,13 @@ bool ShardedSoftTimerRuntime::RescheduleOnShard(size_t shard, SoftEventId id,
 // SOFTTIMER_HOT
 size_t ShardedSoftTimerRuntime::DrainRemote(size_t shard) {
   Shard& s = *shards_[shard];
-  // Clear the flag, then seq_cst-fence before sweeping (the store-buffering
-  // fix from the PR 3 review, paired with the producer's seq_cst publish):
-  // a command published mid-sweep either gets popped below or re-raises the
-  // flag for the next check, never both missed. The full scenario and the
-  // orderings live in src/core/remote_pending.h; the model checker replays
-  // it (shipped orderings pass, weakened ones strand a command).
-  s.remote_pending.BeginDrain();
-  // Read after the fence, like the rings: a producer registers before its
-  // first publish, so a count read here covers every producer whose publish
-  // the clear above may have overwritten (tests/model_check_test.cc).
-  // ordering: acquire pairs with the release store of producers_registered_
-  // in RegisterProducer, so the channels below are fully built.
-  size_t producers = producers_registered_.load(std::memory_order_acquire);
-  size_t applied = 0;
-  bool leftover = false;
-  Command cmd;
-  for (size_t p = 0; p < producers; ++p) {
-    SpscChannel<Command>* channel = s.channels[p].get();
-    // Bounded sweep: at most one ring-full of commands per channel, so a
-    // producer pushing at full tilt cannot pin the owner in this loop and
-    // starve the shard's own dispatches. Anything beyond the budget re-raises
-    // the flag and drains at the next trigger state.
-    size_t budget = channel->capacity();
-    while (budget-- > 0 && channel->TryPop(cmd)) {
-      ApplyCommand(s, std::move(cmd));
-      ++applied;
-    }
-    if (!channel->EmptyRelaxed()) {
-      leftover = true;
-    }
-  }
-  if (leftover) {
-    s.remote_pending.Reraise();
-  }
+  // The steps (clear and fence, count load, bounded sweep, re-raise) and
+  // their orderings live in DrainChannels (src/core/remote_pending.h),
+  // which tests/model_check_test.cc runs as shipped: a command published
+  // mid-sweep is either popped or left flagged for the next check.
+  size_t applied = DrainChannels(
+      s.remote_pending, producers_registered_, s.channels,
+      [this, &s](Command&& cmd) { ApplyCommand(s, std::move(cmd)); });
   if (applied > 0) {
     ++s.stats.drains;
   }

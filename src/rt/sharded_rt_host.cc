@@ -12,7 +12,10 @@
 namespace softtimer {
 
 ShardedRtHost::ShardedRtHost(Config config)
-    : config_(std::move(config)), clock_(config_.measure_hz) {
+    : config_(std::move(config)),
+      clock_(config_.measure_hz),
+      spin_horizon_ticks_(kShardSpinHorizonNs * config_.measure_hz /
+                          1'000'000'000) {
   assert(config_.num_shards >= 1);
   assert(config_.shard_profiles.empty() ||
          config_.shard_profiles.size() == config_.num_shards);
@@ -88,7 +91,8 @@ void ShardedRtHost::WakeShard(void* ctx, size_t shard) {
 size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
   ShardLoop& loop = *loops_[shard];
   SoftTimerFacility& facility = runtime_->shard_facility(shard);
-  uint64_t wake_tick = clock_.NowTicks() + facility.ticks_per_backup_interval();
+  uint64_t now = clock_.NowTicks();
+  uint64_t wake_tick = now + facility.ticks_per_backup_interval();
   bool backup_bound = true;
   std::optional<uint64_t> deadline = facility.NextDeadlineTick();
   if (deadline && *deadline < wake_tick) {
@@ -106,6 +110,13 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
       wake_tick = queue_due;
       backup_bound = false;
     }
+  }
+  if (!backup_bound && wake_tick <= now + spin_horizon_ticks_) {
+    // Nearer than a sleep/wake costs (a deadline already passed included):
+    // spin, then check as a wake would.
+    ++loop.stats.spins;
+    SpinUntil(shard, wake_tick);
+    return runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
   }
   {
     std::unique_lock<std::mutex> lock(loop.m);
@@ -128,6 +139,19 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
     return runtime_->OnBackupInterrupt(shard);
   }
   return runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
+}
+
+// SOFTTIMER_HOT
+void ShardedRtHost::SpinUntil(size_t shard, uint64_t wake_tick) {
+  // The gate stays down, so a producer finds no sleeper to notify; the
+  // pending flag ends the spin instead, and the check after it drains.
+  // ordering: relaxed stop, as in RunShard: Stop() joins the thread, so a
+  // stale read costs at most the rest of this spin.
+  while (!runtime_->remote_pending(shard) &&
+         !stop_.load(std::memory_order_relaxed) &&
+         clock_.NowTicks() < wake_tick) {
+    CpuRelax();
+  }
 }
 
 void ShardedRtHost::RunShard(size_t shard) {

@@ -15,7 +15,10 @@
 //    period, so the paper's T < actual < T + X + 1 bound holds per shard.
 //    On Linux the loop thread's timer slack is held to kShardTimerSlackNs,
 //    so each sleep overshoots its deadline by at most that much instead of
-//    the OS default of 50 us.
+//    the OS default of 50 us. A deadline nearer than kShardSpinHorizonNs is
+//    not worth a sleep: the shard spins to it instead (SpinUntil), the way
+//    the paper's idle loop halts only when nothing is due before the next
+//    backup interrupt. A wait bounded by the backup period always sleeps.
 //
 //  * A spinning ("isolated") shard takes a spin step instead (DESIGN.md
 //    section 14): a dedicated core that never parks, so a cross-core
@@ -39,7 +42,9 @@
 // when the target is actually asleep; the seq_cst fences on both sides
 // close the classic sleep/publish race, and the backup bound makes even a
 // hypothetical missed wakeup a bounded-lateness event, never a lost one. A
-// spinning shard is never a sleeper, so a poke aimed at it is a no-op.
+// spinning shard is never a sleeper, and neither is a sleeping shard while
+// it spins to a near deadline, so a poke aimed at either is a no-op: the
+// spin itself watches the shard's pending flag.
 //
 // Producer threads (application threads scheduling onto shards) register
 // through RegisterProducer() and use the runtime's cross-core API directly.
@@ -70,6 +75,14 @@ class ShardedRtHost {
   // rather than configured because one value served every composed workload
   // (DESIGN.md section 13). Spinning shards never sleep.
   static constexpr unsigned long kShardTimerSlackNs = 20'000;
+  // Spin horizon of a sleeping shard: a wait that ends at the shard's own
+  // next deadline or at the queue gate's, at most this far away, spins
+  // instead of sleeping. Below what one condvar sleep/wake costs in thread
+  // CPU (6-8 us), so a spun wait costs less than the sleep it replaces and
+  // ends without the sleep's ~25 us oversleep. Fixed, like the slack: at
+  // 10 us web_mixed's pacing drains stop batching and its CPU rises by a
+  // third (DESIGN.md section 13).
+  static constexpr uint64_t kShardSpinHorizonNs = 5'000;
 
   struct ShardProfileConfig {
     // Spin instead of sleeping: a dedicated core whose idle step is the
@@ -144,6 +157,7 @@ class ShardedRtHost {
   struct ShardLoopStats {
     uint64_t polls = 0;          // trigger-state checks performed by the loop
     uint64_t sleeps = 0;         // condvar sleeps entered
+    uint64_t spins = 0;          // sleeping-shard waits spun, not slept
     uint64_t backup_checks = 0;  // checks attributed to the backup interrupt
     uint64_t wakeups = 0;        // producer pokes delivered to a sleeper
     uint64_t queue_polls = 0;    // queue_work.poll invocations by this shard
@@ -231,12 +245,17 @@ class ShardedRtHost {
   // Flush (clean trailing gap) or suppress (steal trailing gap) the
   // dispatches buffered since the previous spin step.
   void ResolvePendingClean(ShardLoop& loop, bool trailing_steal);
-  // A sleeping shard's idle step: a backup-bounded sleep; returns handlers
-  // fired by the check performed on wakeup.
+  // A sleeping shard's idle step: a backup-bounded sleep, or a spin when the
+  // wait ends at a deadline inside the spin horizon; returns handlers fired
+  // by the check performed after it.
   size_t SleepAndDispatch(size_t shard);
+  // Spins until the clock reaches `wake_tick`, a command is pending for the
+  // shard, or the host stops. Never raises the sleeper gate.
+  void SpinUntil(size_t shard, uint64_t wake_tick);
 
   Config config_;
   MonotonicClockSource clock_;
+  uint64_t spin_horizon_ticks_;  // kShardSpinHorizonNs in measure ticks
   std::unique_ptr<ShardedSoftTimerRuntime> runtime_;
   std::vector<std::unique_ptr<ShardLoop>> loops_;
   std::atomic<bool> stop_{false};

@@ -2,9 +2,10 @@
 // (src/check/), in two directions:
 //
 //  1. The shipped ordering policies pass every explored schedule - SpscRing,
-//     SpscChannel (the growing command channel), RemotePendingFlag (the
-//     DrainRemote publish/drain protocol, also with a producer registering
-//     mid-drain), and SleeperGate (the eventcount sleep/wake protocol) are
+//     SpscChannel (the growing command channel), RemotePendingFlag with
+//     DrainChannels (DrainRemote's own drain steps, also with a producer
+//     registering mid-drain), and SleeperGate (the eventcount sleep/wake
+//     protocol) are
 //     instantiated against ModelCheckerTraits exactly as production
 //     instantiates them against StdAtomicsTraits, and the checker explores
 //     the bounded schedule space to exhaustion.
@@ -241,21 +242,25 @@ TEST(SpscRingModel, ShippedWraparoundKeepsFifoUnderAllSchedules) {
 
 // --- RemotePendingFlag: the DrainRemote publish/drain protocol ----------
 //
-// Mirrors ShardedSoftTimerRuntime: a producer pushes two commands into its
-// ring, raising the flag after each; the shard owner runs one trigger-check
-// drain pass (poll, clear+fence, bounded sweep, re-raise on leftovers).
+// Runs the shipped drain, DrainChannels, on one registered producer: the
+// producer pushes two commands into its channel, raising the flag after
+// each; the shard owner runs one trigger-check drain pass (poll, then
+// clear+fence, count read, bounded sweep, re-raise on leftovers).
 // Liveness handoff invariant: afterwards, either every command was consumed
 // or the flag is still raised so the next check will drain the rest. The
-// weak-fence mutation reintroduces the PR 3 stranding: the sweep misses a
-// command AND the owner's buffered clear overwrites the producer's publish.
+// weak-fence mutation reintroduces the store-buffering stranding: the sweep
+// misses a command AND the owner's buffered clear overwrites the producer's
+// publish.
 
 template <typename Ordering>
-ExploreResult ExploreRemotePending() {
-  ModelConfig cfg;
+ExploreResult ExploreRemotePending(ModelConfig cfg = {}) {
   cfg.preemption_bound = 2;  // the stranding needs only one preemption
   return Explore(cfg, [](ModelExecution& ex) {
+    using Channel = SpscChannel<int, ModelCheckerTraits>;
     struct State {
-      SpscRing<int, ModelCheckerTraits> ring{2};
+      std::array<std::unique_ptr<Channel>, 1> channels{
+          std::make_unique<Channel>(2)};
+      ModelAtomic<size_t> registered{1};
       RemotePendingFlag<ModelCheckerTraits, Ordering> pending;
       int consumed = 0;
     };
@@ -263,23 +268,16 @@ ExploreResult ExploreRemotePending() {
     ex.Thread([st] {  // producer: two push+publish rounds
       for (int v = 1; v <= 2; ++v) {
         int cmd = v;
-        MODEL_CHECK(st->ring.TryPush(std::move(cmd)));
+        st->channels[0]->Push(std::move(cmd));
         st->pending.Publish();
       }
     });
-    ex.Thread([st] {  // shard owner: one DrainRemote-shaped pass
+    ex.Thread([st] {  // shard owner: one DrainRemote pass
       if (!st->pending.AnyPendingRelaxed()) {
         return;  // nothing observed; producer's publish stays pending
       }
-      st->pending.BeginDrain();
-      int cmd = 0;
-      size_t budget = st->ring.capacity();
-      while (budget-- > 0 && st->ring.TryPop(cmd)) {
-        ++st->consumed;
-      }
-      if (!st->ring.EmptyRelaxed()) {
-        st->pending.Reraise();
-      }
+      DrainChannels(st->pending, st->registered, st->channels,
+                    [st](int&&) { ++st->consumed; });
     });
     ex.Finally([st] {
       // Every published command is either consumed or still flagged for the
@@ -307,42 +305,10 @@ TEST(RemotePendingModel, FailingScheduleReplaysDeterministically) {
   ExploreResult first = ExploreRemotePending<WeakDrainFenceOrdering>();
   ASSERT_FALSE(first.ok) << first.Summary();
 
-  ModelConfig cfg;
-  cfg.preemption_bound = 2;
-  cfg.replay = first.failing_schedule;
   // Re-run only the failing schedule: one execution, same violation.
-  ExploreResult replayed = Explore(cfg, [](ModelExecution& ex) {
-    struct State {
-      SpscRing<int, ModelCheckerTraits> ring{2};
-      RemotePendingFlag<ModelCheckerTraits, WeakDrainFenceOrdering> pending;
-      int consumed = 0;
-    };
-    auto st = std::make_shared<State>();
-    ex.Thread([st] {
-      for (int v = 1; v <= 2; ++v) {
-        int cmd = v;
-        MODEL_CHECK(st->ring.TryPush(std::move(cmd)));
-        st->pending.Publish();
-      }
-    });
-    ex.Thread([st] {
-      if (!st->pending.AnyPendingRelaxed()) {
-        return;
-      }
-      st->pending.BeginDrain();
-      int cmd = 0;
-      size_t budget = st->ring.capacity();
-      while (budget-- > 0 && st->ring.TryPop(cmd)) {
-        ++st->consumed;
-      }
-      if (!st->ring.EmptyRelaxed()) {
-        st->pending.Reraise();
-      }
-    });
-    ex.Finally([st] {
-      MODEL_CHECK(st->consumed == 2 || st->pending.AnyPendingRelaxed());
-    });
-  });
+  ModelConfig cfg;
+  cfg.replay = first.failing_schedule;
+  ExploreResult replayed = ExploreRemotePending<WeakDrainFenceOrdering>(cfg);
   EXPECT_FALSE(replayed.ok) << replayed.Summary();
   EXPECT_EQ(replayed.executions, 1u) << replayed.Summary();
   EXPECT_EQ(replayed.failure, first.failure);
@@ -462,36 +428,59 @@ TEST(SpscChannelModel, ShippedGrowthStrandsNoCommand) {
 
 // --- Producer registration: a channel built while the owner drains -------
 //
-// Mirrors ShardedSoftTimerRuntime::RegisterProducer racing DrainRemote.
-// Producer 0 registered before the run and has one command queued and
-// published. While the owner runs one drain pass (poll, clear+fence, read
-// the registered count, sweep that many channels, re-raise on leftovers),
-// producer 1 registers - builds its channel, then release-stores the count
-// - and pushes and publishes one command. Afterwards both commands were
-// consumed or the flag is still raised. The count is read after the fence,
-// like the rings: read before it, the owner can see one producer, sweep
-// only channel 0 and then clear producer 1's publish, stranding its command
-// in a channel no drain is told about.
+// ShardedSoftTimerRuntime::RegisterProducer racing DrainRemote. Producer 0
+// registered before the run and has one command queued and published.
+// While the owner runs one drain pass, producer 1 registers - builds its
+// channel, then release-stores the count - and pushes and publishes one
+// command. Afterwards both commands were consumed or the flag is still
+// raised. The shipped drain, DrainChannels, reads the count after the
+// fence, like the rings. The mutant below is a test-local copy that reads
+// it before the fence: the owner can see one producer, sweep only channel 0
+// and then clear producer 1's publish, stranding its command in a channel
+// no drain is told about.
 
-template <bool kCountAfterFence>
+using RegistrationChannel = SpscChannel<int, ModelCheckerTraits>;
+struct RegistrationState {
+  std::array<std::unique_ptr<RegistrationChannel>, 2> channels;
+  ModelAtomic<size_t> registered{1};
+  RemotePendingFlag<ModelCheckerTraits> pending;
+  int consumed = 0;
+};
+
+// The drain pass with the count read moved above BeginDrain.
+void DrainWithCountReadBeforeTheFence(RegistrationState& st) {
+  size_t producers = st.registered.load(std::memory_order_acquire);
+  st.pending.BeginDrain();
+  bool leftover = false;
+  for (size_t p = 0; p < producers; ++p) {
+    ModelCheckerTraits::OnNonAtomicRead(&st.channels[p]);
+    RegistrationChannel& channel = *st.channels[p];
+    int cmd = 0;
+    size_t budget = channel.capacity();
+    while (budget-- > 0 && channel.TryPop(cmd)) {
+      ++st.consumed;
+    }
+    if (!channel.EmptyRelaxed()) {
+      leftover = true;
+    }
+  }
+  if (leftover) {
+    st.pending.Reraise();
+  }
+}
+
+template <bool kShippedDrain>
 ExploreResult ExploreProducerRegistration() {
   ModelConfig cfg;
   cfg.preemption_bound = 2;  // the stranding needs only one preemption
   return Explore(cfg, [](ModelExecution& ex) {
-    using Channel = SpscChannel<int, ModelCheckerTraits>;
-    struct State {
-      std::array<std::unique_ptr<Channel>, 2> channels;
-      ModelAtomic<size_t> registered{1};
-      RemotePendingFlag<ModelCheckerTraits> pending;
-      int consumed = 0;
-    };
-    auto st = std::make_shared<State>();
-    st->channels[0] = std::make_unique<Channel>(2);
+    auto st = std::make_shared<RegistrationState>();
+    st->channels[0] = std::make_unique<RegistrationChannel>(2);
     int first = 1;
     st->channels[0]->Push(std::move(first));
     st->pending.Publish();
     ex.Thread([st] {  // producer 1: register, push, publish
-      auto channel = std::make_unique<Channel>(2);
+      auto channel = std::make_unique<RegistrationChannel>(2);
       ModelCheckerTraits::OnNonAtomicWrite(&st->channels[1]);
       st->channels[1] = std::move(channel);
       st->registered.store(2, std::memory_order_release);
@@ -499,33 +488,15 @@ ExploreResult ExploreProducerRegistration() {
       st->channels[1]->Push(std::move(cmd));
       st->pending.Publish();
     });
-    ex.Thread([st] {  // shard owner: one DrainRemote-shaped pass
+    ex.Thread([st] {  // shard owner: one DrainRemote pass
       if (!st->pending.AnyPendingRelaxed()) {
         return;
       }
-      size_t producers = 0;
-      if (!kCountAfterFence) {
-        producers = st->registered.load(std::memory_order_acquire);
-      }
-      st->pending.BeginDrain();
-      if (kCountAfterFence) {
-        producers = st->registered.load(std::memory_order_acquire);
-      }
-      bool leftover = false;
-      for (size_t p = 0; p < producers; ++p) {
-        ModelCheckerTraits::OnNonAtomicRead(&st->channels[p]);
-        Channel& channel = *st->channels[p];
-        int cmd = 0;
-        size_t budget = channel.capacity();
-        while (budget-- > 0 && channel.TryPop(cmd)) {
-          ++st->consumed;
-        }
-        if (!channel.EmptyRelaxed()) {
-          leftover = true;
-        }
-      }
-      if (leftover) {
-        st->pending.Reraise();
+      if (kShippedDrain) {
+        DrainChannels(st->pending, st->registered, st->channels,
+                      [st](int&&) { ++st->consumed; });
+      } else {
+        DrainWithCountReadBeforeTheFence(*st);
       }
     });
     ex.Finally([st] {

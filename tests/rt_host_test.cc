@@ -2,7 +2,8 @@
 // the paper's mechanism on wall-clock time. These use actual wall-clock
 // sleeps; delays are kept in the hundreds-of-microseconds range and
 // assertions are loose upper bounds so the suite stays robust on loaded
-// machines.
+// machines. The spin-horizon cases count spins and sleeps instead, which
+// depend on how far away each wait's deadline is, not on how long it takes.
 
 #include "src/rt/sharded_rt_host.h"
 
@@ -26,6 +27,14 @@ ShardedRtHost::Config OneShard(bool isolated) {
   cfg.interrupt_clock_hz = 1'000;  // 1 ms backup period
   cfg.shard_profiles.resize(1);
   cfg.shard_profiles[0].isolated = isolated;
+  return cfg;
+}
+
+// A sleeping shard on a 1 GHz measure clock, where the spin horizon is
+// kShardSpinHorizonNs ticks.
+ShardedRtHost::Config OneSleepingShardAtOneGhz() {
+  ShardedRtHost::Config cfg = OneShard(/*isolated=*/false);
+  cfg.measure_hz = 1'000'000'000;
   return cfg;
 }
 
@@ -166,6 +175,75 @@ TEST(RtHostTest, RunForDispatchesPeriodicWork) {
   // ~30 fires expected; accept a broad band for loaded CI machines.
   EXPECT_GE(fires.load(), 10);
   EXPECT_LE(fires.load(), 40);
+}
+
+TEST(RtHostTest, WaitsInsideTheSpinHorizonNeverSleep) {
+  // A self-re-arming chain of 2 us timers: every wait ends at a deadline
+  // inside the spin horizon, so the sleeping shard spins through each one.
+  // A loop that stalls finds the next timer already due, and a wait that is
+  // already over spins too (for no time), so no wait ever sleeps.
+  constexpr int kFires = 200;
+  ShardedRtHost host(OneSleepingShardAtOneGhz());
+  SoftTimerFacility& facility = host.runtime().shard_facility(0);
+  int fires = 0;  // loop thread only
+  ShardedRtHost::ShardLoopStats at_last_fire;  // written by the last handler
+  std::atomic<bool> done{false};
+  std::function<void(const SoftTimerFacility::FireInfo&)> chain =
+      [&](const SoftTimerFacility::FireInfo&) {
+        if (++fires < kFires) {
+          facility.ScheduleSoftEvent(2'000, chain);  // 2 us
+          return;
+        }
+        at_last_fire = host.shard_loop_stats(0);
+        done.store(true, std::memory_order_release);
+      };
+  facility.ScheduleSoftEvent(2'000, chain);
+  host.Start();
+  WaitFor(done, std::chrono::milliseconds(10'000));
+  host.Stop();
+  ASSERT_TRUE(done.load());
+  EXPECT_EQ(at_last_fire.sleeps, 0u);
+  EXPECT_GT(at_last_fire.spins, 0u);
+}
+
+TEST(RtHostTest, WaitsPastTheSpinHorizonStillSleep) {
+  // A chain of 200 us timers: every wait is deadline-bound but far past the
+  // spin horizon, so each fire follows a sleep and nothing spins. Armed on
+  // the loop thread, so a slow thread start cannot eat into the first wait,
+  // and into a facility whose storage is already built, so a first
+  // schedule's allocation (slow under a sanitizer) cannot either.
+  constexpr int kFires = 20;
+  ShardedRtHost::Config cfg = OneSleepingShardAtOneGhz();
+  ShardedRtHost* self = nullptr;  // set before Start(), read on the loop
+  bool armed = false;             // loop thread only
+  int fires = 0;                  // loop thread only; read after Stop()
+  std::atomic<bool> done{false};
+  std::function<void(const SoftTimerFacility::FireInfo&)> chain =
+      [&](const SoftTimerFacility::FireInfo&) {
+        if (++fires < kFires) {
+          self->runtime().ScheduleOnShard(0, 200'000, chain);  // 200 us
+        } else {
+          done.store(true, std::memory_order_release);
+        }
+      };
+  cfg.shard_tick = [&](size_t shard) {
+    if (!armed) {
+      armed = true;
+      self->runtime().ScheduleOnShard(shard, 200'000, chain);
+    }
+  };
+  ShardedRtHost host(cfg);
+  self = &host;
+  host.runtime().CancelOnShard(
+      0, host.runtime().ScheduleOnShard(
+             0, 1, [](const SoftTimerFacility::FireInfo&) {}));
+  host.Start();
+  WaitFor(done, std::chrono::milliseconds(10'000));
+  host.Stop();
+  ASSERT_TRUE(done.load());
+  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(0);
+  EXPECT_EQ(loop.spins, 0u);
+  EXPECT_GE(loop.sleeps, static_cast<uint64_t>(fires - 1));
 }
 
 TEST(RtHostTest, LatenessStaysWithinPaperBoundUnderSleepLoop) {

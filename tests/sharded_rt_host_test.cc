@@ -1,5 +1,6 @@
 // ShardedRtHost behaviour: per-shard trigger loops, cross-core wakeups
-// cutting through backup-bounded sleeps, a sleeping shard's lateness record
+// cutting through backup-bounded sleeps, cross-core commands reaching a
+// shard that spins to a near deadline, a sleeping shard's lateness record
 // and its loop thread's timer slack. Real threads and wall-clock sleeps;
 // bounds are loose for loaded CI machines. Runs under the `cross-thread`
 // label / tsan preset.
@@ -12,9 +13,12 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <thread>
 
 namespace softtimer {
@@ -63,6 +67,74 @@ TEST(ShardedRtHostTest, CrossCoreEventFiresWhileShardsSleep) {
   EXPECT_GE(fired_tick.load() - t0, 200u);  // T < actual
   ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(1);
   EXPECT_GT(loop.polls, 0u);
+}
+
+TEST(ShardedRtHostTest, CrossCoreCommandReachesASpinningShardWithoutANotify) {
+  // A local chain of 2 us timers keeps shard 0 spinning: every wait ends at
+  // a deadline inside the spin horizon, so the shard never raises its
+  // sleeper gate. Cross-core schedules from this thread then reach it
+  // through the pending flag alone - no producer finds a sleeper to notify -
+  // and each fires exactly once, never early.
+  constexpr size_t kRemote = 64;
+  ShardedRtHost::Config cfg;
+  cfg.num_shards = 1;
+  cfg.measure_hz = 1'000'000'000;
+  ShardedRtHost* self = nullptr;  // set before Start(), read on the loop
+  // Loop-thread state, read after Stop().
+  bool armed = false;
+  size_t remote_fired = 0;
+  std::array<int, kRemote> fire_count{};
+  uint64_t min_lateness = UINT64_MAX;
+  ShardedRtHost::ShardLoopStats at_last_fire;
+  std::atomic<bool> chain_running{false};
+  std::atomic<bool> done{false};
+  std::function<void(const SoftTimerFacility::FireInfo&)> chain =
+      [&](const SoftTimerFacility::FireInfo&) {
+        chain_running.store(true, std::memory_order_release);
+        if (remote_fired < kRemote) {
+          self->runtime().ScheduleOnShard(0, 2'000, chain);  // 2 us
+        }
+      };
+  cfg.shard_tick = [&](size_t shard) {
+    if (!armed) {
+      armed = true;
+      self->runtime().ScheduleOnShard(shard, 2'000, chain);
+    }
+  };
+  ShardedRtHost host(cfg);
+  self = &host;
+  auto token = host.RegisterProducer();
+  host.Start();
+  auto wait_for = [](const std::atomic<bool>& flag) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  wait_for(chain_running);
+  for (size_t i = 0; i < kRemote; ++i) {
+    host.runtime().ScheduleCrossCore(
+        token, 0, 20'000 /* 20 us */,
+        [&, i](const SoftTimerFacility::FireInfo& info) {
+          ++fire_count[i];
+          min_lateness = std::min(min_lateness, info.lateness_ticks());
+          if (++remote_fired == kRemote) {
+            at_last_fire = host.shard_loop_stats(0);
+            done.store(true, std::memory_order_release);
+          }
+        });
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  wait_for(done);
+  host.Stop();
+  ASSERT_TRUE(done.load());
+  EXPECT_EQ(at_last_fire.wakeups, 0u);
+  EXPECT_EQ(at_last_fire.sleeps, 0u);
+  for (int count : fire_count) {
+    EXPECT_EQ(count, 1);
+  }
+  EXPECT_GE(min_lateness, 1u);  // T < actual
 }
 
 TEST(ShardedRtHostTest, NormalShardLatenessIsTheFacilityHistogram) {
