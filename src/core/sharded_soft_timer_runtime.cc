@@ -118,6 +118,7 @@ ShardedSoftTimerRuntime::ShardedSoftTimerRuntime(const ClockSource* clock,
     shard->facility =
         std::make_unique<SoftTimerFacility>(clock_, config.facility);
     shard->facility->set_event_retired_hook(&OnEventRetired, shard.get());
+    shard->backup_ticks = shard->facility->ticks_per_backup_interval();
     shards_.push_back(std::move(shard));
   }
 }
@@ -168,7 +169,11 @@ bool ShardedSoftTimerRuntime::RescheduleOnShard(size_t shard, SoftEventId id,
   if (!id.valid() || TimerIdShard(id.value) != shard) {
     return false;
   }
-  return ApplyReschedule(*shards_[shard], id.value, delta_ticks);
+  // The event keeps its facility id across the re-arm, so both a local id
+  // and a remote id's table entry stay valid as they are.
+  Shard& s = *shards_[shard];
+  return s.facility->RescheduleSoftEvent(SoftEventId{LocalId(s, id.value)},
+                                         delta_ticks);
 }
 
 // SOFTTIMER_HOT
@@ -178,27 +183,33 @@ size_t ShardedSoftTimerRuntime::DrainRemote(size_t shard) {
   // their orderings live in DrainChannels (src/core/remote_pending.h),
   // which tests/model_check_test.cc runs as shipped: a command published
   // mid-sweep is either popped or left flagged for the next check.
+  // One clock read serves the sweep's late-drain accounting; a command
+  // pushed after it is due after it too.
+  uint64_t now = s.facility->MeasureTime();
   size_t applied = DrainChannels(
       s.remote_pending, producers_registered_, s.channels,
-      [this, &s](Command&& cmd) { ApplyCommand(s, std::move(cmd)); });
+      [this, &s, now](Command&& cmd) { ApplyCommand(s, std::move(cmd), now); });
   if (applied > 0) {
     ++s.stats.drains;
   }
   return applied;
 }
 
-void ShardedSoftTimerRuntime::ApplyCommand(Shard& shard, Command&& cmd) {
-  // Re-anchors a schedule's or an update's delay at the enqueue tick, so
-  // time spent in the ring counts against T instead of stretching it.
-  auto remaining_ticks = [&shard, &cmd] {
-    uint64_t now = shard.facility->MeasureTime();
-    uint64_t due = cmd.enqueue_tick + cmd.delta_ticks;
-    return due > now ? due - now : 0;
-  };
+void ShardedSoftTimerRuntime::ApplyCommand(Shard& shard, Command&& cmd,
+                                           uint64_t now) {
+  // A schedule's or an update's delay counts from the enqueue tick, so time
+  // spent in the ring counts against T instead of stretching it, and a
+  // command drained past its due reports the whole wait as lateness.
+  if (cmd.op == Command::Op::kSchedule || cmd.op == Command::Op::kUpdate) {
+    if (now > cmd.enqueue_tick + cmd.delta_ticks + shard.backup_ticks) {
+      ++shard.stats.remote_drained_late;
+    }
+  }
   switch (cmd.op) {
     case Command::Op::kSchedule: {
-      SoftEventId local = shard.facility->ScheduleSoftEventWithCookie(
-          remaining_ticks(), std::move(cmd.handler), cmd.tag, cmd.id);
+      SoftEventId local = shard.facility->ScheduleSoftEventFrom(
+          cmd.enqueue_tick, cmd.delta_ticks, std::move(cmd.handler), cmd.tag,
+          cmd.id);
       shard.remote_ids.Insert(cmd.id, local.value);
       ++shard.stats.remote_scheduled;
       break;
@@ -211,7 +222,9 @@ void ShardedSoftTimerRuntime::ApplyCommand(Shard& shard, Command&& cmd) {
       }
       break;
     case Command::Op::kUpdate:
-      if (ApplyReschedule(shard, cmd.id, remaining_ticks())) {
+      if (shard.facility->RescheduleSoftEventFrom(
+              SoftEventId{LocalId(shard, cmd.id)}, cmd.enqueue_tick,
+              cmd.delta_ticks)) {
         ++shard.stats.remote_rescheduled;
       } else {
         ++shard.stats.remote_reschedule_misses;
@@ -235,15 +248,6 @@ bool ShardedSoftTimerRuntime::ApplyCancel(Shard& shard, uint64_t id_value) {
   // cancel lands, the same way a dispatch does - a live entry always maps
   // to a live event, so no explicit Erase here.
   return shard.facility->CancelSoftEvent(SoftEventId{LocalId(shard, id_value)});
-}
-
-// SOFTTIMER_HOT
-bool ShardedSoftTimerRuntime::ApplyReschedule(Shard& shard, uint64_t id_value,
-                                              uint64_t delta_ticks) {
-  // The event keeps its facility id across the re-arm, so both a local id
-  // and a remote id's table entry stay valid as they are.
-  return shard.facility->RescheduleSoftEvent(
-      SoftEventId{LocalId(shard, id_value)}, delta_ticks);
 }
 
 // SOFTTIMER_HOT
@@ -310,6 +314,10 @@ bool ShardedSoftTimerRuntime::CancelCrossCore(ProducerToken& token,
 void ShardedSoftTimerRuntime::PushCommand(ProducerToken& token, size_t shard,
                                           Command&& cmd) {
   Shard& s = *shards_[shard];
+  uint64_t enqueue_tick = cmd.enqueue_tick;
+  uint64_t due_tick = cmd.op == Command::Op::kCancel
+                          ? kNeverDue
+                          : enqueue_tick + cmd.delta_ticks;
   if (s.channels[token.index_]->Push(std::move(cmd))) {
     ++token.ring_growths_;
   }
@@ -318,7 +326,7 @@ void ShardedSoftTimerRuntime::PushCommand(ProducerToken& token, size_t shard,
   // leaves the flag raised (see src/core/remote_pending.h).
   s.remote_pending.Publish();
   if (wake_fn_ != nullptr) {
-    wake_fn_(wake_ctx_, shard);
+    wake_fn_(wake_ctx_, shard, due_tick, enqueue_tick);
   }
 }
 

@@ -214,8 +214,9 @@ class ShardedSoftTimerRuntime {
   // Schedules `handler` on `shard` through the command ring and returns the
   // remote id. The id is invalid only for an invalid token or shard: a full
   // ring grows instead of refusing. The delay counts from now (enqueue
-  // time): the drain re-anchors the deadline at enqueue_tick + delta, so
-  // ring residency does not stretch T.
+  // time): the drain anchors the event at the enqueue tick, so ring
+  // residency does not stretch T, and a drain past the due tick shows in
+  // the timer's lateness (FireInfo::scheduled_tick is the enqueue tick).
   SoftEventId ScheduleCrossCore(ProducerToken& token, size_t shard,
                                 uint64_t delta_ticks,
                                 SoftTimerFacility::Handler handler,
@@ -248,9 +249,16 @@ class ShardedSoftTimerRuntime {
 
   // --- Wakeup integration ----------------------------------------------
   // Invoked (from the producer thread) after a command is published to a
-  // shard, so a host can wake that shard's sleeping owner. Raw pointer +
-  // context: installing and firing it never allocates.
-  using WakeFn = void (*)(void* ctx, size_t shard);
+  // shard, so a host can wake that shard's sleeping owner when the command
+  // needs the owner sooner than it plans to wake. `due_tick` is when the
+  // command's timer falls due: its enqueue tick + T for a schedule or a
+  // re-arm, kNeverDue for a cancel (which makes nothing due sooner).
+  // `enqueue_tick` is the producer's clock read for the command, 0 for a
+  // cancel (which reads no clock). Raw pointer + context: installing and
+  // firing it never allocates.
+  static constexpr uint64_t kNeverDue = UINT64_MAX;
+  using WakeFn = void (*)(void* ctx, size_t shard, uint64_t due_tick,
+                          uint64_t enqueue_tick);
   void set_wake_hook(WakeFn fn, void* ctx) {
     wake_fn_ = fn;
     wake_ctx_ = ctx;
@@ -274,6 +282,11 @@ class ShardedSoftTimerRuntime {
     uint64_t remote_cancel_misses = 0;
     uint64_t remote_rescheduled = 0;  // update commands that re-armed an event
     uint64_t remote_reschedule_misses = 0;
+    // Schedule and update commands drained more than one backup period past
+    // their due (enqueue tick + T): the owner was stalled, or the command
+    // was stranded with no check to drain it. Each such timer fires past the
+    // paper's T + X + 1 bound, and its lateness says by how much.
+    uint64_t remote_drained_late = 0;
     size_t remote_live = 0;          // live entries in the remote-id table
   };
   // Owner-thread (or quiesced) reads only.
@@ -317,6 +330,7 @@ class ShardedSoftTimerRuntime {
     std::unique_ptr<SoftTimerFacility> facility;
     RemoteIdMap remote_ids;
     ShardStats stats;
+    uint64_t backup_ticks = 0;  // the facility's ticks_per_backup_interval
     // Published (seq_cst) by producers after pushing a command; cleared +
     // fenced by the owner before a drain sweep so the clear cannot overwrite
     // a racing publish whose command the sweep missed. The full protocol and
@@ -333,16 +347,16 @@ class ShardedSoftTimerRuntime {
     static_cast<Shard*>(ctx)->remote_ids.Erase(cookie);
   }
 
-  // Applies a drained command on the owner thread.
-  void ApplyCommand(Shard& shard, Command&& cmd);
+  // Applies a drained command on the owner thread; `now` is the drain's
+  // clock read.
+  void ApplyCommand(Shard& shard, Command&& cmd, uint64_t now);
   // The shard facility's id for a runtime id that targets `shard`.
   static uint64_t LocalId(const Shard& shard, uint64_t id_value);
   bool ApplyCancel(Shard& shard, uint64_t id_value);
-  bool ApplyReschedule(Shard& shard, uint64_t id_value, uint64_t delta_ticks);
 
   // Producer side of every cross-core command: pushes `cmd` into the
   // (producer, shard) channel, raises the shard's pending flag and fires
-  // the wake hook.
+  // the wake hook with the command's due tick.
   void PushCommand(ProducerToken& token, size_t shard, Command&& cmd);
 
   const ClockSource* clock_;

@@ -88,17 +88,18 @@ void SoftTimerFacility::DispatchFired(const TimerFired& fired,
 }
 
 // SOFTTIMER_HOT
-SoftEventId SoftTimerFacility::ScheduleSoftEventWithCookie(uint64_t delta_ticks,
-                                                           Handler handler,
-                                                           uint32_t handler_tag,
-                                                           uint64_t cookie) {
-  uint64_t scheduled_tick = MeasureTime();
-  // Fire when measure_time() exceeds the scheduled value by at least T + 1;
-  // the +1 covers the event not being scheduled exactly on a tick boundary.
-  uint64_t deadline = scheduled_tick + delta_ticks + 1;
+SoftEventId SoftTimerFacility::ScheduleSoftEventFrom(uint64_t anchor_tick,
+                                                     uint64_t delta_ticks,
+                                                     Handler handler,
+                                                     uint32_t handler_tag,
+                                                     uint64_t cookie) {
+  // Fire when measure_time() exceeds the anchor by at least T + 1; the +1
+  // covers the event not being scheduled exactly on a tick boundary. A
+  // deadline already passed clamps to the queue's next expiry.
+  uint64_t deadline = anchor_tick + delta_ticks + 1;
   ++stats_.scheduled;
   TimerPayload payload;
-  payload.scheduled_tick = scheduled_tick;
+  payload.scheduled_tick = anchor_tick;
   payload.delta_ticks = delta_ticks;
   payload.tag = handler_tag;
   payload.user_data = cookie;
@@ -133,20 +134,20 @@ bool SoftTimerFacility::CancelSoftEvent(SoftEventId id) {
 }
 
 // SOFTTIMER_HOT
-bool SoftTimerFacility::RescheduleSoftEvent(SoftEventId id,
-                                            uint64_t delta_ticks) {
+bool SoftTimerFacility::RescheduleSoftEventFrom(SoftEventId id,
+                                                uint64_t anchor_tick,
+                                                uint64_t delta_ticks) {
   TimerPayload* payload = queue_.MutablePayload(TimerId{id.value});
   if (payload == nullptr) {
     return false;  // already fired, cancelled, or being dispatched
   }
   // Rewrite the bookkeeping in place, then move the node: the event keeps
   // its id and carries the fresh schedule stamp.
-  uint64_t scheduled_tick = MeasureTime();
-  payload->scheduled_tick = scheduled_tick;
+  payload->scheduled_tick = anchor_tick;
   payload->delta_ticks = delta_ticks;
   // Same deadline rule as a fresh schedule: fire once measure_time() exceeds
-  // the scheduled value by at least T + 1.
-  uint64_t deadline = scheduled_tick + delta_ticks + 1;
+  // the anchor by at least T + 1.
+  uint64_t deadline = anchor_tick + delta_ticks + 1;
   queue_.Update(TimerId{id.value}, deadline);
   ++stats_.rescheduled;
   // Only lower the gate. If the event was the earliest and moved later,

@@ -82,7 +82,10 @@ class SoftTimerFacility {
 
   // Context passed to a firing handler.
   struct FireInfo {
-    uint64_t scheduled_tick;  // MeasureTime() when the event was scheduled
+    // The tick T counts from: MeasureTime() at a plain schedule or re-arm,
+    // the caller's anchor at an anchored one (a cross-core command's enqueue
+    // tick), so lateness also counts the time the command waited to apply.
+    uint64_t scheduled_tick;
     uint64_t delta_ticks;     // the T passed to ScheduleSoftEvent
     uint64_t fired_tick;      // MeasureTime() at dispatch
     TriggerSource source;     // which trigger state (or backup) fired it
@@ -112,17 +115,21 @@ class SoftTimerFacility {
   // under the degradation policy; tag 0 is anonymous and exempt.
   SoftEventId ScheduleSoftEvent(uint64_t delta_ticks, Handler handler,
                                 uint32_t handler_tag = 0) {
-    return ScheduleSoftEventWithCookie(delta_ticks, std::move(handler),
-                                       handler_tag, 0);
+    return ScheduleSoftEventFrom(MeasureTime(), delta_ticks, std::move(handler),
+                                 handler_tag);
   }
 
-  // ScheduleSoftEvent with an opaque non-zero cookie attached to the event.
-  // When the event is dispatched or cancelled, the retire hook (below) is
-  // invoked with the cookie. Used by ShardedSoftTimerRuntime to tie a
-  // cross-core event back to its remote-id table entry without wrapping the
-  // handler in an extra (allocating) closure.
-  SoftEventId ScheduleSoftEventWithCookie(uint64_t delta_ticks, Handler handler,
-                                          uint32_t handler_tag, uint64_t cookie);
+  // The anchored schedule that ScheduleSoftEvent forwards to: T counts from
+  // `anchor_tick` (at most now) instead of from now, so the event is due at
+  // anchor + T + 1 and fires at the next check when that has already passed;
+  // FireInfo::scheduled_tick reports the anchor. An opaque non-zero `cookie`
+  // is handed to the retire hook (below) when the event is dispatched or
+  // cancelled. ShardedSoftTimerRuntime anchors a cross-core schedule at its
+  // enqueue tick and ties it back to its remote-id table entry by cookie,
+  // without wrapping the handler in an extra (allocating) closure.
+  SoftEventId ScheduleSoftEventFrom(uint64_t anchor_tick, uint64_t delta_ticks,
+                                    Handler handler, uint32_t handler_tag = 0,
+                                    uint64_t cookie = 0);
 
   // Cancels a pending event; false if it fired or was already cancelled.
   // An event the policy deferred is still pending under its own id.
@@ -134,7 +141,14 @@ class SoftTimerFacility {
   // The paper's deadline rule applies as if freshly scheduled: the event
   // fires at the first trigger state past MeasureTime() + delta + 1.
   // Zero-alloc.
-  bool RescheduleSoftEvent(SoftEventId id, uint64_t delta_ticks);
+  bool RescheduleSoftEvent(SoftEventId id, uint64_t delta_ticks) {
+    return RescheduleSoftEventFrom(id, MeasureTime(), delta_ticks);
+  }
+
+  // The anchored re-arm that RescheduleSoftEvent forwards to: T counts from
+  // `anchor_tick`, exactly as in ScheduleSoftEventFrom.
+  bool RescheduleSoftEventFrom(SoftEventId id, uint64_t anchor_tick,
+                               uint64_t delta_ticks);
 
   // Raw-function-pointer hook invoked when an event carrying a non-zero
   // cookie is retired: pre-handler at dispatch (a policy deferral is not a

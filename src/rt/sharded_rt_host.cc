@@ -15,7 +15,9 @@ ShardedRtHost::ShardedRtHost(Config config)
     : config_(std::move(config)),
       clock_(config_.measure_hz),
       spin_horizon_ticks_(kShardSpinHorizonNs * config_.measure_hz /
-                          1'000'000'000) {
+                          1'000'000'000),
+      notify_horizon_ticks_(kShardNotifyHorizonNs * config_.measure_hz /
+                            1'000'000'000) {
   assert(config_.num_shards >= 1);
   assert(config_.shard_profiles.empty() ||
          config_.shard_profiles.size() == config_.num_shards);
@@ -73,19 +75,40 @@ void ShardedRtHost::Stop() {
   running_ = false;
 }
 
-void ShardedRtHost::WakeShard(void* ctx, size_t shard) {
+void ShardedRtHost::WakeShard(void* ctx, size_t shard, uint64_t due_tick,
+                              uint64_t enqueue_tick) {
   auto* host = static_cast<ShardedRtHost*>(ctx);
   ShardLoop& loop = *host->loops_[shard];
-  // Fence + sleeping-flag read (src/rt/eventcount.h): if the sleeper's
-  // pending-flag recheck missed our publish, the gate's fence orders our
-  // sleeping-load after its sleeping-store, so we observe it awake-or-
-  // committed and deliver the notify.
-  if (loop.gate.SleeperVisible()) {
+  if (host->PokeMatters(loop, due_tick, enqueue_tick)) {
     std::lock_guard<std::mutex> lock(loop.m);
     loop.cv.notify_one();
     // ordering: stats counter; read quiesced or tolerating staleness.
     loop.wakeups.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+// SOFTTIMER_HOT
+bool ShardedRtHost::PokeMatters(ShardLoop& loop, uint64_t due_tick,
+                                uint64_t enqueue_tick) {
+  // Fence + planned-tick read (src/rt/eventcount.h): if the sleeper's
+  // pending-flag recheck missed our publish, the gate's fence orders our
+  // load after its store, so we read the tick it blocks on.
+  uint64_t planned = loop.gate.PlannedWake();
+  if (planned == 0) {
+    return false;  // awake: its next check sees the pending flag
+  }
+  // A schedule or re-arm carries its enqueue tick as "now"; only a cancel,
+  // which read no clock, reads one here, and only against a sleeper.
+  uint64_t now = due_tick == ShardedSoftTimerRuntime::kNeverDue
+                     ? clock_.NowTicks()
+                     : enqueue_tick;
+  if (SleeperGate<>::WakeMatters(planned, due_tick, now,
+                                 notify_horizon_ticks_)) {
+    return true;
+  }
+  // ordering: stats counter; read quiesced or tolerating staleness.
+  loop.wakeups_suppressed.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
 size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
@@ -120,10 +143,14 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
   }
   {
     std::unique_lock<std::mutex> lock(loop.m);
-    loop.gate.PrepareSleep();
-    // Recheck under the flag: a command published before the gate's fence is
-    // visible here; one published after it sees the sleeper flag and
-    // notifies (blocking on the mutex until our wait releases it).
+    // The gate carries the tick this wait ends at: a wake tick is never 0,
+    // since a sleep ends past now + the spin horizon or one backup period.
+    assert(wake_tick != 0);
+    loop.gate.PrepareSleep(wake_tick);
+    // Recheck under the gate: a command published before the gate's fence
+    // is visible here; one published after it reads the planned tick and
+    // notifies when it falls due before that tick (blocking on the mutex
+    // until our wait releases it).
     if (!runtime_->remote_pending(shard) &&
         // ordering: stop is rechecked every loop iteration and Stop() takes
         // the mutex before notifying, so a relaxed read here only risks one
@@ -344,8 +371,11 @@ void ShardedRtHost::ResolvePendingClean(ShardLoop& loop, bool trailing_steal) {
 ShardedRtHost::ShardLoopStats ShardedRtHost::shard_loop_stats(
     size_t shard) const {
   ShardLoopStats s = loops_[shard]->stats;
-  // ordering: stats counter; monotonic, staleness acceptable by contract.
+  // ordering: stats counters; monotonic, staleness acceptable by contract.
   s.wakeups = loops_[shard]->wakeups.load(std::memory_order_relaxed);
+  // ordering: as above.
+  s.wakeups_suppressed =
+      loops_[shard]->wakeups_suppressed.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -36,15 +36,21 @@
 //    methodology as the bench suite's CPU-time-per-op numbers - while raw
 //    is always reported alongside.
 //
-// Wakeups. A cross-core schedule must not wait out the target shard's
-// sleep, so the runtime's wake hook pokes the target thread's eventcount
-// (atomic `sleeping` flag + condvar). Producers take the shard's mutex only
-// when the target is actually asleep; the seq_cst fences on both sides
-// close the classic sleep/publish race, and the backup bound makes even a
-// hypothetical missed wakeup a bounded-lateness event, never a lost one. A
-// spinning shard is never a sleeper, and neither is a sleeping shard while
-// it spins to a near deadline, so a poke aimed at either is a no-op: the
-// spin itself watches the shard's pending flag.
+// Wakeups. A cross-core command must not wait out the target shard's
+// sleep when it falls due before the sleep ends, so the runtime's wake hook
+// pokes the target thread's eventcount (src/rt/eventcount.h: an atomic word
+// holding the sleeper's planned wake tick, plus the condvar). The hook gets
+// the command's due tick, and a producer takes the shard's mutex only when
+// the target is asleep and the poke can matter: the command is due before
+// the planned wake, or that wake is less than kShardNotifyHorizonNs away.
+// Any other poke is skipped and counted (ShardLoopStats::
+// wakeups_suppressed): the shard's own wake drains the command before it
+// falls due. The seq_cst fences on both sides close the classic
+// sleep/publish race, and the backup bound makes even a hypothetical missed
+// wakeup a bounded-lateness event, never a lost one. A spinning shard is
+// never a sleeper, and neither is a sleeping shard while it spins to a near
+// deadline, so a poke aimed at either is a no-op: the spin itself watches
+// the shard's pending flag.
 //
 // Producer threads (application threads scheduling onto shards) register
 // through RegisterProducer() and use the runtime's cross-core API directly.
@@ -83,6 +89,17 @@ class ShardedRtHost {
   // 10 us web_mixed's pacing drains stop batching and its CPU rises by a
   // third (DESIGN.md section 13).
   static constexpr uint64_t kShardSpinHorizonNs = 5'000;
+  // Notify horizon of a sleeping shard: a producer whose command falls due
+  // at or after the shard's planned wake still pokes it when that wake is
+  // less than this far away (or already past). The spin horizon plus a
+  // 10 us lead: a poke lands the sleeper about 10 us later, so inside this
+  // horizon it ends the sleep inside the spin horizon or cuts an oversleep
+  // past the planned tick, either way keeping the shard's own deadline on
+  // time. Fixed, like the spin horizon: on timer_fanout, 5 us raised
+  // lateness p50 by a third and 10 us still left it above the horizon-free
+  // wake's, while 20 us cost 10% more CPU per timer (DESIGN.md section 13).
+  static constexpr uint64_t kShardNotifyHorizonNs =
+      kShardSpinHorizonNs + 10'000;
 
   struct ShardProfileConfig {
     // Spin instead of sleeping: a dedicated core whose idle step is the
@@ -160,12 +177,21 @@ class ShardedRtHost {
     uint64_t spins = 0;          // sleeping-shard waits spun, not slept
     uint64_t backup_checks = 0;  // checks attributed to the backup interrupt
     uint64_t wakeups = 0;        // producer pokes delivered to a sleeper
+    // Producer pokes skipped: the sleeper's planned wake came before the
+    // command's due tick and was not within the notify horizon.
+    uint64_t wakeups_suppressed = 0;
     uint64_t queue_polls = 0;    // queue_work.poll invocations by this shard
     uint64_t queue_packets = 0;  // packets those invocations drained
   };
-  // Safe while running for `wakeups`; read the rest after Stop() (or accept
-  // a torn-but-monotonic snapshot).
+  // Safe while running for `wakeups` and `wakeups_suppressed`; read the
+  // rest after Stop() (or accept a torn-but-monotonic snapshot).
   ShardLoopStats shard_loop_stats(size_t shard) const;
+
+  // The tick a sleeping shard plans to wake at, 0 while it is awake or
+  // spinning. Safe while running (a relaxed read of the sleeper gate).
+  uint64_t planned_wake_tick(size_t shard) const {
+    return loops_[shard]->gate.planned_wake_relaxed();
+  }
 
   // Counters of the spin step (all zero on a sleeping shard, except
   // slo_violations). Quiesced reads only, like the histograms below.
@@ -208,13 +234,15 @@ class ShardedRtHost {
   struct alignas(kCacheLineBytes) ShardLoop {
     std::mutex m;
     std::condition_variable cv;
-    // Raised while the loop thread is inside (or committed to entering) a
-    // condvar wait; producers only take the mutex when they observe it. The
-    // flag+fence protocol lives in src/rt/eventcount.h (model-checked by
-    // tests/model_check_test.cc).
+    // Holds the planned wake tick while the loop thread is inside (or
+    // committed to entering) a condvar wait; producers only take the mutex
+    // when it says the poke can matter. The word+fence protocol lives in
+    // src/rt/eventcount.h (model-checked by tests/model_check_test.cc).
     SleeperGate<> gate;
     std::atomic<uint64_t> wakeups{0};
-    ShardLoopStats stats;  // loop-thread writes (wakeups mirrored on read)
+    std::atomic<uint64_t> wakeups_suppressed{0};
+    // Loop-thread writes (the two producer counters mirrored on read).
+    ShardLoopStats stats;
     IsolatedShardStats iso;
     // Lateness-probe and spin-step state, loop-thread only. `isolated` and
     // `slo_budget` are set at construction.
@@ -229,7 +257,14 @@ class ShardedRtHost {
     std::thread thread;
   };
 
-  static void WakeShard(void* ctx, size_t shard);
+  // The runtime's wake hook: notifies the shard's sleeper when PokeMatters.
+  static void WakeShard(void* ctx, size_t shard, uint64_t due_tick,
+                        uint64_t enqueue_tick);
+  // The producer's skip decision for a command due at `due_tick`: false
+  // when the shard is awake, or asleep until a tick at or before the due
+  // tick that is not within the notify horizon (counted as suppressed).
+  // Never blocks: the mutex and the notify stay in WakeShard.
+  bool PokeMatters(ShardLoop& loop, uint64_t due_tick, uint64_t enqueue_tick);
   // Facility lateness probe, installed on spinning and SLO-carrying shard
   // facilities with the shard's ShardLoop as context; runs inside
   // DispatchFired on the loop thread (or whichever thread drives a quiesced
@@ -256,6 +291,7 @@ class ShardedRtHost {
   Config config_;
   MonotonicClockSource clock_;
   uint64_t spin_horizon_ticks_;  // kShardSpinHorizonNs in measure ticks
+  uint64_t notify_horizon_ticks_;  // kShardNotifyHorizonNs in measure ticks
   std::unique_ptr<ShardedSoftTimerRuntime> runtime_;
   std::vector<std::unique_ptr<ShardLoop>> loops_;
   std::atomic<bool> stop_{false};

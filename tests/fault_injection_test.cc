@@ -297,8 +297,8 @@ TEST(FaultInjectionTest, BatchCapDeferralKeepsIdAndCookie) {
   std::vector<uint64_t> fired;  // cookies of dispatched events, in order
   std::vector<SoftEventId> ids;
   for (uint64_t cookie = 0xC0; cookie < 0xC4; ++cookie) {
-    ids.push_back(fac.ScheduleSoftEventWithCookie(
-        10,
+    ids.push_back(fac.ScheduleSoftEventFrom(
+        fac.MeasureTime(), 10,
         [&fired, cookie](const SoftTimerFacility::FireInfo&) {
           fired.push_back(cookie);
         },

@@ -5,7 +5,7 @@
 //     SpscChannel (the growing command channel), RemotePendingFlag with
 //     DrainChannels (DrainRemote's own drain steps, also with a producer
 //     registering mid-drain), and SleeperGate (the eventcount sleep/wake
-//     protocol) are
+//     protocol with its planned-tick wake rule) are
 //     instantiated against ModelCheckerTraits exactly as production
 //     instantiates them against StdAtomicsTraits, and the checker explores
 //     the bounded schedule space to exhaustion.
@@ -520,46 +520,82 @@ TEST(ProducerRegistrationModel, CountReadBeforeTheFenceStrandsACommand) {
 
 // --- SleeperGate: the eventcount sleep/wake protocol --------------------
 //
-// Mirrors ShardedRtHost: the sleeper announces sleep then rechecks the
-// pending flag; the waker publishes work (a relaxed store - the gate's own
-// fence must order it) then checks whether a sleeper needs a notify.
-// Invariant: a sleeper that decided to block was notified; "would sleep
-// unnotified" is the lost-wakeup the fences exist to prevent.
+// Mirrors ShardedRtHost: the sleeper publishes the tick it will block
+// until, fences, and rechecks the pending flag; the waker publishes work (a
+// relaxed store - the gate's own fence must order it) with a due tick,
+// fences, reads the planned tick and decides with the shipped WakeMatters
+// rule. It publishes two commands: one due after the sleeper's tick, which
+// the rule may skip, then one due before it, which must not be stranded.
+// Invariant: a sleeper that decided to block was notified of the command
+// due before the tick it blocks on; "would sleep past it unnotified" is the
+// lost wakeup the fences and the tick's placement exist to prevent. The
+// rule must also skip the later command when it reads the real tick, or
+// the suppression would be vacuous.
 
-template <typename Ordering>
+constexpr uint64_t kModelNow = 0;          // the waker's enqueue tick
+constexpr uint64_t kModelHorizon = 2;      // the notify horizon K
+constexpr uint64_t kModelEarlyTick = 4;    // a provisional tick, past K
+constexpr uint64_t kModelBlockTick = 10;   // the tick the sleeper blocks on
+constexpr uint64_t kModelDueBefore = 7;    // due before the blocking tick
+constexpr uint64_t kModelDueAfter = 12;    // due after it
+
+// kTickBeforeRecheck = false is the seeded protocol mutation: the gate is
+// raised with a provisional, earlier tick and the real one stored only
+// after the recheck, so a waker can read the early tick, skip a command due
+// before the real one, and leave it stranded until the sleeper wakes.
+template <typename Ordering, bool kTickBeforeRecheck = true>
 ExploreResult ExploreSleeperGate() {
   ModelConfig cfg;
   cfg.preemption_bound = 3;
   return Explore(cfg, [](ModelExecution& ex) {
+    using Gate = SleeperGate<ModelCheckerTraits, Ordering>;
     struct State {
-      SleeperGate<ModelCheckerTraits, Ordering> gate;
+      Gate gate;
       ModelAtomic<uint32_t> pending{0};
       bool would_sleep = false;
-      bool notified = false;
+      bool notified_before = false;
+      bool notified_after = false;
+      uint64_t read_after = 0;  // the tick the later command's waker read
     };
     auto st = std::make_shared<State>();
     ex.Thread([st] {  // sleeper (shard loop entering SleepAndDispatch)
-      st->gate.PrepareSleep();
+      st->gate.PrepareSleep(kTickBeforeRecheck ? kModelBlockTick
+                                               : kModelEarlyTick);
       // ordering: the recheck itself is relaxed in production too - the
-      // gate's kSleepFence is what orders it after the sleeping store.
+      // gate's kSleepFence is what orders it after the planned-tick store.
       if (st->pending.load(std::memory_order_relaxed) == 0) {
-        // Enters cv.wait: the flag stays up until a notify (or the backup
-        // timeout) ends the wait, so FinishSleep belongs to a later instant
-        // than any waker this execution models - eliding it is what keeps
-        // "waker saw sleeping==1" equivalent to "notify delivered".
+        if (!kTickBeforeRecheck) {
+          st->gate.PrepareSleep(kModelBlockTick);  // too late
+        }
+        // Enters cv.wait until kModelBlockTick: the word stays set until a
+        // notify (or the timeout) ends the wait, so FinishSleep belongs to
+        // a later instant than any waker this execution models - eliding
+        // it is what keeps "waker decided to notify" equivalent to "notify
+        // delivered".
         st->would_sleep = true;
       } else {
         st->gate.FinishSleep();  // decided not to block after all
       }
     });
-    ex.Thread([st] {  // waker (producer after a cross-core publish)
-      st->pending.store(1, std::memory_order_relaxed);
-      if (st->gate.SleeperVisible()) {
-        st->notified = true;  // would take the mutex and notify here
-      }
+    ex.Thread([st] {  // waker (producer after two cross-core publishes)
+      auto publish = [&st](uint64_t due_tick, uint64_t* read) {
+        st->pending.store(1, std::memory_order_relaxed);
+        uint64_t planned = st->gate.PlannedWake();
+        if (read != nullptr) {
+          *read = planned;
+        }
+        // Would take the mutex and notify here.
+        return planned != 0 && Gate::WakeMatters(planned, due_tick, kModelNow,
+                                                 kModelHorizon);
+      };
+      st->notified_after = publish(kModelDueAfter, &st->read_after);
+      st->notified_before = publish(kModelDueBefore, nullptr);
     });
     ex.Finally([st] {
-      MODEL_CHECK(!(st->would_sleep && !st->notified));  // no lost wakeup
+      // No command due before the blocking tick is left unnotified.
+      MODEL_CHECK(!(st->would_sleep && !st->notified_before));
+      // A command due after the blocking tick, far from it, is skipped.
+      MODEL_CHECK(!(st->read_after == kModelBlockTick && st->notified_after));
     });
   });
 }
@@ -578,6 +614,12 @@ TEST(SleeperGateModel, MutationWeakSleepFenceLosesAWakeup) {
 
 TEST(SleeperGateModel, MutationWeakWakeFenceLosesAWakeup) {
   ExploreResult r = ExploreSleeperGate<WeakWakeFenceOrdering>();
+  ASSERT_FALSE(r.ok) << r.Summary();
+  EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
+}
+
+TEST(SleeperGateModel, MutationTickStoredAfterRecheckStrandsAnEarlierDeadline) {
+  ExploreResult r = ExploreSleeperGate<SleeperGateOrdering, false>();
   ASSERT_FALSE(r.ok) << r.Summary();
   EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
 }

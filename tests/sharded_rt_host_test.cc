@@ -1,6 +1,7 @@
 // ShardedRtHost behaviour: per-shard trigger loops, cross-core wakeups
-// cutting through backup-bounded sleeps, cross-core commands reaching a
-// shard that spins to a near deadline, a sleeping shard's lateness record
+// cutting through backup-bounded sleeps, pokes skipped when the command
+// falls due after the sleeper's planned wake, cross-core commands reaching
+// a shard that spins to a near deadline, a sleeping shard's lateness record
 // and its loop thread's timer slack. Real threads and wall-clock sleeps;
 // bounds are loose for loaded CI machines. Runs under the `cross-thread`
 // label / tsan preset.
@@ -67,6 +68,64 @@ TEST(ShardedRtHostTest, CrossCoreEventFiresWhileShardsSleep) {
   EXPECT_GE(fired_tick.load() - t0, 200u);  // T < actual
   ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(1);
   EXPECT_GT(loop.polls, 0u);
+}
+
+TEST(ShardedRtHostTest, SleeperIsPokedOnlyForCommandsDueBeforeItsPlannedWake) {
+  // One shard parked on a local timer 100 ms out, with a 1 s backup period:
+  // its sleep ends at the timer, so its sleeper gate carries that tick. A
+  // cross-core schedule due 20 ms after it gets no notify - the shard's own
+  // wake drains it before it falls due - while one due 1 ms from now, long
+  // before the planned wake, is notified. Both fire exactly once, never
+  // early. The margins are milliseconds and no assertion times anything.
+  ShardedRtHost::Config cfg;
+  cfg.num_shards = 1;
+  cfg.interrupt_clock_hz = 1;
+  ShardedRtHost* self = nullptr;  // set before Start(), read on the loop
+  cfg.shard_setup = [&self](size_t shard) {
+    self->runtime().ScheduleOnShard(shard, 100'000 /* 100 ms */,
+                                    [](const SoftTimerFacility::FireInfo&) {});
+  };
+  ShardedRtHost host(cfg);
+  self = &host;
+  auto token = host.RegisterProducer();
+  host.Start();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  uint64_t planned = 0;
+  while ((planned = host.planned_wake_tick(0)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_NE(planned, 0u);
+  uint64_t now = host.clock().NowTicks();
+  ASSERT_GT(planned, now + 20'000);  // the wake is still 20+ ms away
+
+  // Loop-thread writes, read after Stop().
+  std::array<int, 2> fires{};
+  std::array<uint64_t, 2> lateness{};
+  std::atomic<int> fired{0};
+  auto record = [&](size_t which) {
+    return [&, which](const SoftTimerFacility::FireInfo& info) {
+      ++fires[which];
+      lateness[which] = info.lateness_ticks();
+      fired.fetch_add(1, std::memory_order_release);
+    };
+  };
+  host.runtime().ScheduleCrossCore(token, 0, planned - now + 20'000,
+                                   record(0));
+  host.runtime().ScheduleCrossCore(token, 0, 1'000, record(1));
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fired.load(std::memory_order_acquire) < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  host.Stop();
+  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(0);
+  EXPECT_EQ(loop.wakeups_suppressed, 1u);  // the schedule due after the wake
+  EXPECT_EQ(loop.wakeups, 1u);             // the one due before it
+  for (size_t which = 0; which < 2; ++which) {
+    EXPECT_EQ(fires[which], 1) << which;
+    EXPECT_GE(lateness[which], 1u) << which;  // T < actual
+  }
 }
 
 TEST(ShardedRtHostTest, CrossCoreCommandReachesASpinningShardWithoutANotify) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/timer/timer_slab.h"
@@ -202,14 +203,61 @@ TEST(ShardedRuntimeTest, OverdueRemoteFiresImmediatelyAfterDrain) {
   ShardedSoftTimerRuntime rt(&clock, Cfg(1));
   auto token = rt.RegisterProducer();
   int fired = 0;
-  rt.ScheduleCrossCore(token, 0, 10,
-                       [&](const SoftTimerFacility::FireInfo&) { ++fired; });
+  uint64_t lateness = 0;
+  auto record = [&](const SoftTimerFacility::FireInfo& info) {
+    ++fired;
+    lateness = info.lateness_ticks();
+  };
+  rt.ScheduleCrossCore(token, 0, 10, record);
   clock.Advance(500);  // way past due while still in the ring
   // One check: drain + dispatch in the same trigger state.
   rt.OnTriggerState(0, TriggerSource::kSyscall);
   clock.Advance(2);
   rt.OnTriggerState(0, TriggerSource::kSyscall);
   EXPECT_EQ(fired, 1);
+  // The lateness counts from the enqueue tick: the ring wait shows.
+  EXPECT_GE(lateness, 490u);
+
+  // A re-arm drained past its due reports its whole wait the same way.
+  SoftEventId id = rt.ScheduleCrossCore(token, 0, 1'000, record);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);  // drained on time
+  ASSERT_TRUE(rt.RescheduleCrossCore(token, id, 10));
+  clock.Advance(500);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);
+  clock.Advance(2);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);
+  EXPECT_EQ(fired, 2);
+  EXPECT_GE(lateness, 490u);
+}
+
+TEST(ShardedRuntimeTest, RemoteDrainedLateCountsDrainsPastOneBackupPeriod) {
+  // 1 MHz clock, 1 kHz backup: one backup period is 1,000 ticks.
+  ManualClock clock;
+  ShardedSoftTimerRuntime rt(&clock, Cfg(1));
+  auto token = rt.RegisterProducer();
+  std::vector<uint64_t> lateness;
+  auto record = [&](const SoftTimerFacility::FireInfo& info) {
+    lateness.push_back(info.lateness_ticks());
+  };
+  SoftEventId rearmed = rt.ScheduleCrossCore(token, 0, 5'000, record);
+  SoftEventId cancelled = rt.ScheduleCrossCore(token, 0, 5'000, record);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);  // drained at once
+  EXPECT_EQ(rt.shard_stats(0).remote_drained_late, 0u);
+
+  // All enqueued at t=0, drained at t=1,010 by a stalled owner.
+  rt.ScheduleCrossCore(token, 0, 9, record);   // due 9: 1,001 past, late
+  rt.ScheduleCrossCore(token, 0, 10, record);  // due 10: exactly one period
+  ASSERT_TRUE(rt.RescheduleCrossCore(token, rearmed, 5));  // due 5: late
+  ASSERT_TRUE(rt.CancelCrossCore(token, cancelled));  // no due: never late
+  clock.Advance(1'010);
+  rt.OnTriggerState(0, TriggerSource::kSyscall);
+  ShardedSoftTimerRuntime::ShardStats stats = rt.shard_stats(0);
+  EXPECT_EQ(stats.remote_drained_late, 2u);
+  EXPECT_EQ(stats.remote_rescheduled, 1u);
+  EXPECT_EQ(stats.remote_cancelled, 1u);
+  // All three fired in the drain's own check, each as late as its wait.
+  std::sort(lateness.begin(), lateness.end());
+  EXPECT_EQ(lateness, (std::vector<uint64_t>{1'000, 1'001, 1'005}));
 }
 
 TEST(ShardedRuntimeTest, OwnerCanCancelDrainedRemoteId) {
@@ -365,18 +413,40 @@ TEST(ShardedRuntimeTest, PolicyShardCancelsDeferredRemoteEvent) {
 TEST(ShardedRuntimeTest, WakeHookFiresOnPublish) {
   ManualClock clock;
   ShardedSoftTimerRuntime rt(&clock, Cfg(3));
-  std::vector<size_t> woken;
+  struct Wake {
+    size_t shard;
+    uint64_t due_tick;
+    uint64_t enqueue_tick;
+  };
+  std::vector<Wake> woken;
   rt.set_wake_hook(
-      [](void* ctx, size_t shard) {
-        static_cast<std::vector<size_t>*>(ctx)->push_back(shard);
+      [](void* ctx, size_t shard, uint64_t due_tick, uint64_t enqueue_tick) {
+        static_cast<std::vector<Wake>*>(ctx)->push_back(
+            Wake{shard, due_tick, enqueue_tick});
       },
       &woken);
   auto token = rt.RegisterProducer();
-  rt.ScheduleCrossCore(token, 2, 100, [](const SoftTimerFacility::FireInfo&) {});
+  clock.Advance(40);
+  SoftEventId id = rt.ScheduleCrossCore(
+      token, 2, 100, [](const SoftTimerFacility::FireInfo&) {});
   rt.ScheduleCrossCore(token, 0, 100, [](const SoftTimerFacility::FireInfo&) {});
-  ASSERT_EQ(woken.size(), 2u);
-  EXPECT_EQ(woken[0], 2u);
-  EXPECT_EQ(woken[1], 0u);
+  clock.Advance(10);
+  rt.RescheduleCrossCore(token, id, 300);
+  rt.CancelCrossCore(token, id);
+  ASSERT_EQ(woken.size(), 4u);
+  // A schedule or re-arm is due at its enqueue tick + T.
+  EXPECT_EQ(woken[0].shard, 2u);
+  EXPECT_EQ(woken[0].due_tick, 140u);
+  EXPECT_EQ(woken[0].enqueue_tick, 40u);
+  EXPECT_EQ(woken[1].shard, 0u);
+  EXPECT_EQ(woken[1].due_tick, 140u);
+  EXPECT_EQ(woken[2].shard, 2u);
+  EXPECT_EQ(woken[2].due_tick, 350u);
+  EXPECT_EQ(woken[2].enqueue_tick, 50u);
+  // A cancel makes nothing due sooner, and reads no clock.
+  EXPECT_EQ(woken[3].shard, 2u);
+  EXPECT_EQ(woken[3].due_tick, ShardedSoftTimerRuntime::kNeverDue);
+  EXPECT_EQ(woken[3].enqueue_tick, 0u);
 }
 
 TEST(ShardedRuntimeTest, ProducerRegistrationIsBounded) {

@@ -80,10 +80,12 @@ TEST_F(FacilityFixture, CookieRetireHookFiresOnDispatchAndCancel) {
       },
       &retired);
   int fired = 0;
-  SoftEventId dispatched = facility_->ScheduleSoftEventWithCookie(
-      10, [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xA1);
-  SoftEventId cancelled = facility_->ScheduleSoftEventWithCookie(
-      500, [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xB2);
+  SoftEventId dispatched = facility_->ScheduleSoftEventFrom(
+      facility_->MeasureTime(), 10,
+      [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xA1);
+  SoftEventId cancelled = facility_->ScheduleSoftEventFrom(
+      facility_->MeasureTime(), 500,
+      [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xB2);
   SoftEventId plain = facility_->ScheduleSoftEvent(
       500, [&](const SoftTimerFacility::FireInfo&) { ++fired; });
   ASSERT_TRUE(dispatched.valid());
@@ -121,15 +123,17 @@ TEST_F(FacilityFixture, StaleCancelAfterSlotReuseDoesNotRetireReusersCookie) {
       },
       &retired);
   int fired = 0;
-  SoftEventId a = facility_->ScheduleSoftEventWithCookie(
-      10, [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xA1);
+  SoftEventId a = facility_->ScheduleSoftEventFrom(
+      facility_->MeasureTime(), 10,
+      [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xA1);
   AdvanceTo(SimDuration::Micros(20));
   facility_->OnTriggerState(TriggerSource::kSyscall);
   ASSERT_EQ(fired, 1);
   ASSERT_EQ(retired, (std::vector<uint64_t>{0xA1}));
   // b very likely recycles a's slab slot.
-  SoftEventId b = facility_->ScheduleSoftEventWithCookie(
-      500, [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xB2);
+  SoftEventId b = facility_->ScheduleSoftEventFrom(
+      facility_->MeasureTime(), 500,
+      [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 0, 0xB2);
   EXPECT_FALSE(facility_->CancelSoftEvent(a));
   EXPECT_EQ(retired, (std::vector<uint64_t>{0xA1}));  // b's cookie untouched
   EXPECT_TRUE(facility_->CancelSoftEvent(b));
@@ -150,14 +154,15 @@ TEST_F(FacilityFixture, HandlerCancellingDueBatchPeerRetiresCookieOnce) {
   int peer_fired = 0;
   SoftEventId peer{};
   bool cancel_ok = false;
-  facility_->ScheduleSoftEventWithCookie(
-      10,
+  facility_->ScheduleSoftEventFrom(
+      facility_->MeasureTime(), 10,
       [&](const SoftTimerFacility::FireInfo&) {
         cancel_ok = facility_->CancelSoftEvent(peer);
       },
       0, 0xA1);
-  peer = facility_->ScheduleSoftEventWithCookie(
-      10, [&](const SoftTimerFacility::FireInfo&) { ++peer_fired; }, 0, 0xB2);
+  peer = facility_->ScheduleSoftEventFrom(
+      facility_->MeasureTime(), 10,
+      [&](const SoftTimerFacility::FireInfo&) { ++peer_fired; }, 0, 0xB2);
   AdvanceTo(SimDuration::Micros(20));
   facility_->OnTriggerState(TriggerSource::kSyscall);
   EXPECT_TRUE(cancel_ok);
