@@ -29,6 +29,9 @@
 // still notifies when P is less than K ticks away (the host's notify
 // horizon): a notify lands the sleeper early enough to spin to P, or ends
 // an oversleep past it, and that keeps the sleeper's own deadline on time.
+// A sleeper may publish any tick at or before the one it blocks on: an
+// earlier P only adds notifies. kUnplannedWake, the earliest, gets every
+// poke delivered, as a 0/1 sleeping flag would.
 //
 // Dropping either fence re-opens the classic lost wakeup: both sides'
 // stores sit in store buffers, the recheck reads pending==0, the waker
@@ -77,6 +80,11 @@ template <typename Traits = StdAtomicsTraits,
           typename Ordering = SleeperGateOrdering>
 class SleeperGate {
  public:
+  // The earliest non-zero tick. Published in place of a plan, it reads as a
+  // wake already past, so WakeMatters is true for every poke whose now +
+  // horizon exceeds 1 tick, as it does long before any wake can be late.
+  static constexpr uint64_t kUnplannedWake = 1;
+
   // Sleeper side: announce a sleep that ends at `wake_tick` (non-zero) at
   // the latest. Must be followed by a recheck of the wake condition before
   // actually blocking (the fence makes a publish that the recheck misses

@@ -17,7 +17,9 @@ ShardedRtHost::ShardedRtHost(Config config)
       spin_horizon_ticks_(kShardSpinHorizonNs * config_.measure_hz /
                           1'000'000'000),
       notify_horizon_ticks_(kShardNotifyHorizonNs * config_.measure_hz /
-                            1'000'000'000) {
+                            1'000'000'000),
+      late_hold_ticks_(kShardLateWakeHoldNs * config_.measure_hz /
+                       1'000'000'000) {
   assert(config_.num_shards >= 1);
   assert(config_.shard_profiles.empty() ||
          config_.shard_profiles.size() == config_.num_shards);
@@ -115,7 +117,8 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
   ShardLoop& loop = *loops_[shard];
   SoftTimerFacility& facility = runtime_->shard_facility(shard);
   uint64_t now = clock_.NowTicks();
-  uint64_t wake_tick = now + facility.ticks_per_backup_interval();
+  uint64_t backup_ticks = facility.ticks_per_backup_interval();
+  uint64_t wake_tick = now + backup_ticks;
   bool backup_bound = true;
   std::optional<uint64_t> deadline = facility.NextDeadlineTick();
   if (deadline && *deadline < wake_tick) {
@@ -145,8 +148,11 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
     std::unique_lock<std::mutex> lock(loop.m);
     // The gate carries the tick this wait ends at: a wake tick is never 0,
     // since a sleep ends past now + the spin horizon or one backup period.
+    // During a late-wake hold it carries no plan, so no poke is skipped.
     assert(wake_tick != 0);
-    loop.gate.PrepareSleep(wake_tick);
+    loop.gate.PrepareSleep(now < loop.unplanned_until
+                               ? SleeperGate<>::kUnplannedWake
+                               : wake_tick);
     // Recheck under the gate: a command published before the gate's fence
     // is visible here; one published after it reads the planned tick and
     // notifies when it falls due before that tick (blocking on the mutex
@@ -161,7 +167,15 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
     }
     loop.gate.FinishSleep();
   }
-  if (backup_bound && clock_.NowTicks() >= wake_tick) {
+  uint64_t woke = clock_.NowTicks();
+  if (woke > wake_tick + backup_ticks) {
+    // The OS ran the thread more than a backup period past its plan. For
+    // the hold, publish no plan: a skipped poke would wait on a wake that
+    // may come this late again.
+    ++loop.stats.late_wakes;
+    loop.unplanned_until = woke + late_hold_ticks_;
+  }
+  if (backup_bound && woke >= wake_tick) {
     ++loop.stats.backup_checks;
     return runtime_->OnBackupInterrupt(shard);
   }

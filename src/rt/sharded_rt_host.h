@@ -45,12 +45,15 @@
 // the planned wake, or that wake is less than kShardNotifyHorizonNs away.
 // Any other poke is skipped and counted (ShardLoopStats::
 // wakeups_suppressed): the shard's own wake drains the command before it
-// falls due. The seq_cst fences on both sides close the classic
-// sleep/publish race, and the backup bound makes even a hypothetical missed
-// wakeup a bounded-lateness event, never a lost one. A spinning shard is
-// never a sleeper, and neither is a sleeping shard while it spins to a near
-// deadline, so a poke aimed at either is a no-op: the spin itself watches
-// the shard's pending flag.
+// falls due. That relies on the shard waking at its planned tick, so a
+// shard whose sleep ended more than one backup period past its plan
+// publishes no plan for the next kShardLateWakeHoldNs, and every poke is
+// delivered (ShardLoopStats::late_wakes counts such wakes). The seq_cst
+// fences on both sides close the classic sleep/publish race, and the
+// backup bound makes even a hypothetical missed wakeup a bounded-lateness
+// event, never a lost one. A spinning shard is never a sleeper, and neither
+// is a sleeping shard while it spins to a near deadline, so a poke aimed at
+// either is a no-op: the spin itself watches the shard's pending flag.
 //
 // Producer threads (application threads scheduling onto shards) register
 // through RegisterProducer() and use the runtime's cross-core API directly.
@@ -100,6 +103,17 @@ class ShardedRtHost {
   // wake's, while 20 us cost 10% more CPU per timer (DESIGN.md section 13).
   static constexpr uint64_t kShardNotifyHorizonNs =
       kShardSpinHorizonNs + 10'000;
+  // How long a sleeping shard publishes SleeperGate::kUnplannedWake instead
+  // of its planned wake after a sleep that ended more than one backup period
+  // past its plan. Skipping a poke is only safe while the shard's own wakes
+  // come on time; a late one means the OS is not running the thread
+  // promptly, e.g. it shares a CPU with a spinning producer. Such wakes come
+  // in runs tens of milliseconds apart, and delivering every poke while they
+  // last is what moves the thread off that CPU: on timer_fanout a run that
+  // started with all threads on one CPU left it 1.5-3.5 s in with the
+  // pokes, and stayed there for the whole run without them (DESIGN.md
+  // section 13).
+  static constexpr uint64_t kShardLateWakeHoldNs = 100'000'000;
 
   struct ShardProfileConfig {
     // Spin instead of sleeping: a dedicated core whose idle step is the
@@ -180,6 +194,9 @@ class ShardedRtHost {
     // Producer pokes skipped: the sleeper's planned wake came before the
     // command's due tick and was not within the notify horizon.
     uint64_t wakeups_suppressed = 0;
+    // Sleeps that ended more than one backup period past their planned wake
+    // (each one starts a kShardLateWakeHoldNs hold).
+    uint64_t late_wakes = 0;
     uint64_t queue_polls = 0;    // queue_work.poll invocations by this shard
     uint64_t queue_packets = 0;  // packets those invocations drained
   };
@@ -187,8 +204,9 @@ class ShardedRtHost {
   // rest after Stop() (or accept a torn-but-monotonic snapshot).
   ShardLoopStats shard_loop_stats(size_t shard) const;
 
-  // The tick a sleeping shard plans to wake at, 0 while it is awake or
-  // spinning. Safe while running (a relaxed read of the sleeper gate).
+  // The tick a sleeping shard plans to wake at (SleeperGate::kUnplannedWake
+  // during a late-wake hold), 0 while it is awake or spinning. Safe while
+  // running (a relaxed read of the sleeper gate).
   uint64_t planned_wake_tick(size_t shard) const {
     return loops_[shard]->gate.planned_wake_relaxed();
   }
@@ -249,6 +267,7 @@ class ShardedRtHost {
     bool isolated = false;
     bool check_tainted = false;  // the last spin step's gap was a steal
     uint64_t slo_budget = 0;
+    uint64_t unplanned_until = 0;  // end of the late-wake hold (a tick)
     uint64_t prev_spin_tick = 0;   // clock read of the last spin step
     uint64_t backup_deadline = 0;  // nominal deadline D of the next backup
     size_t pending_clean_count = 0;
@@ -292,6 +311,7 @@ class ShardedRtHost {
   MonotonicClockSource clock_;
   uint64_t spin_horizon_ticks_;  // kShardSpinHorizonNs in measure ticks
   uint64_t notify_horizon_ticks_;  // kShardNotifyHorizonNs in measure ticks
+  uint64_t late_hold_ticks_;  // kShardLateWakeHoldNs in measure ticks
   std::unique_ptr<ShardedSoftTimerRuntime> runtime_;
   std::vector<std::unique_ptr<ShardLoop>> loops_;
   std::atomic<bool> stop_{false};

@@ -1,8 +1,9 @@
 // ShardedRtHost behaviour: per-shard trigger loops, cross-core wakeups
 // cutting through backup-bounded sleeps, pokes skipped when the command
-// falls due after the sleeper's planned wake, cross-core commands reaching
-// a shard that spins to a near deadline, a sleeping shard's lateness record
-// and its loop thread's timer slack. Real threads and wall-clock sleeps;
+// falls due after the sleeper's planned wake (and none skipped after a
+// late wake), cross-core commands reaching a shard that spins to a near
+// deadline, a sleeping shard's lateness record and its loop thread's
+// timer slack. Real threads and wall-clock sleeps;
 // bounds are loose for loaded CI machines. Runs under the `cross-thread`
 // label / tsan preset.
 
@@ -126,6 +127,33 @@ TEST(ShardedRtHostTest, SleeperIsPokedOnlyForCommandsDueBeforeItsPlannedWake) {
     EXPECT_EQ(fires[which], 1) << which;
     EXPECT_GE(lateness[which], 1u) << which;  // T < actual
   }
+}
+
+TEST(ShardedRtHostTest, LateWakePublishesNoPlanSoEveryPokeMatters) {
+  // A 10 ns backup period on a 1 GHz clock: every backup-bounded sleep ends
+  // more than one backup period past its plan (the fence, the mutex and the
+  // timed wait alone take longer), so the shard's first sleep starts a
+  // late-wake hold, and each sleep after it publishes kUnplannedWake, which
+  // makes a poke matter however far off its command falls due.
+  ShardedRtHost::Config cfg;
+  cfg.num_shards = 1;
+  cfg.measure_hz = 1'000'000'000;
+  cfg.interrupt_clock_hz = 100'000'000;
+  ShardedRtHost host(cfg);
+  host.Start();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool unplanned = false;
+  while (!unplanned && std::chrono::steady_clock::now() < deadline) {
+    unplanned = host.planned_wake_tick(0) == SleeperGate<>::kUnplannedWake;
+    std::this_thread::yield();
+  }
+  host.Stop();
+  EXPECT_TRUE(unplanned);
+  EXPECT_GT(host.shard_loop_stats(0).late_wakes, 0u);
+  EXPECT_TRUE(SleeperGate<>::WakeMatters(SleeperGate<>::kUnplannedWake,
+                                         /*due_tick=*/UINT64_MAX - 1,
+                                         host.clock().NowTicks(),
+                                         /*horizon_ticks=*/0));
 }
 
 TEST(ShardedRtHostTest, CrossCoreCommandReachesASpinningShardWithoutANotify) {
