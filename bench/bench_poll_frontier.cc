@@ -244,7 +244,8 @@ ModeResult RunSpinMode(std::vector<SynthQueue>* queues, double warmup_s,
 // --- mode 3: M-on-N claimed polling ----------------------------------------
 // MultiQueuePoller (per-queue governors, QueueClaim protocol, next-due gate)
 // served by an N-shard ShardedRtHost through Config::queue_work: every shard
-// polls between trigger checks and bounds its sleep by the gate.
+// polls between trigger checks, and one parked shard bounds its sleep by the
+// gate.
 struct MonNResult {
   ModeResult mode;
   double achieved_quota = 0;

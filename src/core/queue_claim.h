@@ -39,8 +39,9 @@
 //
 // No queue is ever double-polled (CAS exclusivity) and no due queue is
 // stranded when its owner parks: a released queue's deadline is folded into
-// the gate before the owner can sleep, and ShardedRtHost bounds every
-// shard's sleep by the gate, so SOME core wakes by the earliest deadline.
+// the gate before the owner can sleep, and ShardedRtHost bounds a parking
+// shard's sleep by the gate unless a sibling is awake or already plans to
+// wake by it, so SOME core wakes by the earliest deadline.
 //
 // Traits/Ordering parameters: see src/core/atomics_traits.h. Production uses
 // the defaults; never override Ordering outside the model-check suite.

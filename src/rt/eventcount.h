@@ -29,9 +29,27 @@
 // still notifies when P is less than K ticks away (the host's notify
 // horizon): a notify lands the sleeper early enough to spin to P, or ends
 // an oversleep past it, and that keeps the sleeper's own deadline on time.
-// A sleeper may publish any tick at or before the one it blocks on: an
-// earlier P only adds notifies. kUnplannedWake, the earliest, gets every
-// poke delivered, as a 0/1 sleeping flag would.
+// A sleeper may publish any tick at or after the one it blocks on: a later
+// P adds notifies for commands due between the two ticks and loses at most
+// a notify-horizon poke, never a needed one. An earlier P is not safe: a
+// waker that reads it skips a command due between it and the tick the
+// sleeper blocks on. The one exception is kUnplannedWake, which WakeMatters
+// always reads as inside the horizon, so every poke is delivered, as a 0/1
+// sleeping flag would. So a sleeper may publish a later tick, fence, and
+// then Lower() the word to the tick it blocks on with a relaxed store: a
+// waker reads one tick or the other, each at or after the blocking one.
+//
+// Parking beside siblings. A shard whose earliest bound is a deadline its
+// siblings share (the queue gate's next-due tick) needs only one of them
+// to wake for it. It publishes its own, later plan, fences, reads each
+// sibling's word (SiblingPlan), and lowers its wait and its word to the
+// shared deadline only when no sibling Covers it. The same fence pairing
+// as above means that of two sleepers parking at once, the later one past
+// its fence reads the other's published plan, so it never reads both as
+// covering; and since a published tick is never earlier than the wait it
+// bounds, a sibling whose word covers the deadline really wakes by it.
+// Publishing the shared deadline first and raising it when covered would
+// let both shards read each other's deadline and both withdraw.
 //
 // Dropping either fence re-opens the classic lost wakeup: both sides'
 // stores sit in store buffers, the recheck reads pending==0, the waker
@@ -39,9 +57,14 @@
 // So does storing P only after the recheck: a waker that reads an earlier
 // provisional tick skips a command due before the P the sleeper then
 // blocks on. tests/model_check_test.cc explores the shipped orderings (no
-// command due before P is left unnotified in any interleaving) and the
-// weakened ones (WeakSleepFenceOrdering, WeakWakeFenceOrdering and a
-// sleeper that stores P after its recheck reproduce the miss).
+// command due before P is left unnotified in any interleaving, also when
+// the sleeper publishes a later tick and lowers it after its recheck) and
+// the weakened ones (WeakSleepFenceOrdering, WeakWakeFenceOrdering and a
+// sleeper that stores P after its recheck reproduce the miss). It also
+// explores two sleepers parking beside one shared deadline: one of them
+// always waits for it, and reading the sibling before publishing,
+// publishing the deadline and withdrawing from it, or
+// WeakSleepFenceOrdering leaves it uncovered.
 //
 // Traits/Ordering parameters: see src/core/atomics_traits.h. Production uses
 // the defaults; never override Ordering outside the model-check suite.
@@ -94,8 +117,22 @@ class SleeperGate {
     Traits::ThreadFence(Ordering::kSleepFence);
   }
 
+  // Sleeper side, after PrepareSleep and before blocking: the sleep now ends
+  // at `wake_tick`, earlier than the published tick. The PrepareSleep fence
+  // already ordered the later tick, so this store needs none: a waker reads
+  // one tick or the other, each at or after the one the sleeper blocks on.
+  void Lower(uint64_t wake_tick) {
+    planned_.store(wake_tick, Ordering::kSleepStore);
+  }
+
   // Sleeper side: done sleeping (or decided not to block after all).
   void FinishSleep() { planned_.store(0, Ordering::kWakeClearStore); }
+
+  // A sibling sleeper's side, after its own PrepareSleep: the tick this
+  // gate's sleeper plans to wake at, 0 while it is awake or spinning. The
+  // caller's PrepareSleep fence orders this load after the caller's own
+  // publish, as PlannedWake's fence does for a waker.
+  uint64_t SiblingPlan() const { return planned_.load(Ordering::kWakeLoad); }
 
   // Waker side, after publishing work: the tick the sleeper plans to wake
   // at while it may be inside (or committed to entering) its wait, 0 when
@@ -114,6 +151,16 @@ class SleeperGate {
                                     uint64_t now_tick,
                                     uint64_t horizon_ticks) {
     return due_tick < planned || planned < now_tick + horizon_ticks;
+  }
+
+  // Parking sleeper side: whether a sibling whose SiblingPlan() read
+  // `planned` wakes for a deadline at `due_tick` it shares with the parker,
+  // so the parker may sleep past it. Yes when the sibling is awake (0: it
+  // checks the deadline on its next iteration) or plans a real wake at or
+  // before the deadline; never for kUnplannedWake, whose real wake it does
+  // not say.
+  static constexpr bool Covers(uint64_t planned, uint64_t due_tick) {
+    return planned == 0 || (planned != kUnplannedWake && planned <= due_tick);
   }
 
   // Introspection (tests/stats): the planned wake tick, 0 while awake.

@@ -113,7 +113,7 @@ bool ShardedRtHost::PokeMatters(ShardLoop& loop, uint64_t due_tick,
   return false;
 }
 
-size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
+bool ShardedRtHost::SleepAndDispatch(size_t shard) {
   ShardLoop& loop = *loops_[shard];
   SoftTimerFacility& facility = runtime_->shard_facility(shard);
   uint64_t now = clock_.NowTicks();
@@ -125,34 +125,48 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
     wake_tick = *deadline;
     backup_bound = false;
   }
-  if (config_.queue_work.next_due) {
-    // No due queue may wait out a full backup period just because every
-    // shard parked: the earliest queue deadline bounds the sleep exactly
-    // like the shard's own next soft-event deadline does. Each releasing
-    // shard folds its published deadline into the gate BEFORE it can reach
-    // this sleep, so the last shard to park always sees the earliest one.
-    uint64_t queue_due = config_.queue_work.next_due();
-    if (queue_due < wake_tick) {
-      wake_tick = queue_due;
-      backup_bound = false;
-    }
-  }
-  if (!backup_bound && wake_tick <= now + spin_horizon_ticks_) {
+  // No due queue may wait out a full backup period just because every
+  // shard parked: the earliest queue deadline bounds the sleep of one
+  // parked shard exactly like its own next soft-event deadline does. Each
+  // releasing shard folds its published deadline into the gate BEFORE it
+  // can reach this sleep, so the last shard to park always sees the
+  // earliest one.
+  uint64_t queue_due = config_.queue_work.next_due
+                           ? config_.queue_work.next_due()
+                           : ShardedSoftTimerRuntime::kNeverDue;
+  bool queue_first = queue_due < wake_tick;
+  uint64_t first_tick = queue_first ? queue_due : wake_tick;
+  if ((queue_first || !backup_bound) &&
+      first_tick <= now + spin_horizon_ticks_) {
     // Nearer than a sleep/wake costs (a deadline already passed included):
     // spin, then check as a wake would.
     ++loop.stats.spins;
-    SpinUntil(shard, wake_tick);
-    return runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
+    SpinUntil(shard, first_tick);
+    runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
+    return false;
   }
+  bool slept = false;
   {
     std::unique_lock<std::mutex> lock(loop.m);
-    // The gate carries the tick this wait ends at: a wake tick is never 0,
-    // since a sleep ends past now + the spin horizon or one backup period.
-    // During a late-wake hold it carries no plan, so no poke is skipped.
+    // The gate carries the tick this wait ends at, or a later one: a wake
+    // tick is never 0, since a sleep ends past now + the spin horizon or
+    // one backup period. During a late-wake hold it carries no plan, so no
+    // poke is skipped.
     assert(wake_tick != 0);
-    loop.gate.PrepareSleep(now < loop.unplanned_until
-                               ? SleeperGate<>::kUnplannedWake
-                               : wake_tick);
+    bool hold = now < loop.unplanned_until;
+    loop.gate.PrepareSleep(hold ? SleeperGate<>::kUnplannedWake : wake_tick);
+    // One parked shard wakes for the queue deadline. The own plan went out
+    // first, through the gate's fence, so of two shards parking at once the
+    // later one reads the other's plan and takes the deadline itself
+    // (src/rt/eventcount.h).
+    bool queue_bound = queue_first && !SiblingCovers(shard, queue_due);
+    if (queue_bound) {
+      wake_tick = queue_due;
+      backup_bound = false;
+      if (!hold) {
+        loop.gate.Lower(queue_due);
+      }
+    }
     // Recheck under the gate: a command published before the gate's fence
     // is visible here; one published after it reads the planned tick and
     // notifies when it falls due before that tick (blocking on the mutex
@@ -163,6 +177,8 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
         // bounded sleep, never a missed shutdown.
         !stop_.load(std::memory_order_relaxed)) {
       ++loop.stats.sleeps;
+      loop.stats.queue_bound_sleeps += queue_bound;
+      slept = true;
       loop.cv.wait_for(lock, clock_.UntilTick(wake_tick));
     }
     loop.gate.FinishSleep();
@@ -175,11 +191,24 @@ size_t ShardedRtHost::SleepAndDispatch(size_t shard) {
     ++loop.stats.late_wakes;
     loop.unplanned_until = woke + late_hold_ticks_;
   }
+  size_t fired = 0;
   if (backup_bound && woke >= wake_tick) {
     ++loop.stats.backup_checks;
-    return runtime_->OnBackupInterrupt(shard);
+    fired = runtime_->OnBackupInterrupt(shard);
+  } else {
+    fired = runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
   }
-  return runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
+  return slept && fired == 0;
+}
+
+bool ShardedRtHost::SiblingCovers(size_t shard, uint64_t due_tick) const {
+  for (size_t i = 0; i < loops_.size(); ++i) {
+    if (i != shard &&
+        SleeperGate<>::Covers(loops_[i]->gate.SiblingPlan(), due_tick)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // SOFTTIMER_HOT
@@ -222,6 +251,9 @@ void ShardedRtHost::RunShard(size_t shard) {
         loop.prev_spin_tick +
         runtime_->shard_facility(shard).ticks_per_backup_interval();
   }
+  // Whether the last sleep's check fired nothing: the wake is wasted when
+  // the queue poll after it drains nothing too.
+  bool empty_wake = false;
   // ordering: both stop checks are relaxed - the loop re-polls continuously
   // and the sleep path rechecks under the eventcount, so staleness costs at
   // most one extra iteration.
@@ -231,18 +263,21 @@ void ShardedRtHost::RunShard(size_t shard) {
     if (config_.shard_tick) {
       config_.shard_tick(shard);
     }
+    size_t drained = 0;
     if (config_.queue_work.poll) {
       // Serve at most one claimed queue per iteration, interleaved with the
       // shard's own trigger checks; as long as queues keep yielding packets
       // the shard stays busy (the `continue` skips the idle step), which is
       // how an idle shard absorbs queues from a busy one - it simply keeps
       // winning claims the busy shard has no spare iterations for.
-      size_t drained = config_.queue_work.poll(shard, clock_.NowTicks());
+      drained = config_.queue_work.poll(shard, clock_.NowTicks());
       ++loop.stats.queue_polls;
       loop.stats.queue_packets += drained;
-      if (drained > 0) {
-        continue;
-      }
+    }
+    loop.stats.wasted_wakes += empty_wake && drained == 0;
+    empty_wake = false;
+    if (drained > 0) {
+      continue;
     }
     // ordering: same relaxed-stop contract as the loop condition above.
     if (stop_.load(std::memory_order_relaxed)) {
@@ -251,7 +286,7 @@ void ShardedRtHost::RunShard(size_t shard) {
     if (loop.isolated) {
       SpinStep(shard);
     } else {
-      SleepAndDispatch(shard);
+      empty_wake = SleepAndDispatch(shard);
     }
   }
   // No spin step will ever vouch for the last check's dispatches; suppress

@@ -11,8 +11,14 @@
 // shard's one setting, ShardProfileConfig::isolated:
 //
 //  * A sleeping shard (the default) sleeps, bounded by the earlier of its
-//    next soft-event deadline, the earliest queue deadline and one backup
-//    period, so the paper's T < actual < T + X + 1 bound holds per shard.
+//    next soft-event deadline and one backup period, so the paper's
+//    T < actual < T + X + 1 bound holds per shard. The earliest queue
+//    deadline bounds the sleep too, unless a sibling already wakes for it:
+//    one that is awake, or asleep with a plan at or before it
+//    (SleeperGate::Covers). The parking shard publishes its own plan before
+//    it reads its siblings', so of shards parking at once the last one
+//    takes the deadline, and a covering shard that stalls holds the queue
+//    up at most until another shard's own wake or backup period.
 //    On Linux the loop thread's timer slack is held to kShardTimerSlackNs,
 //    so each sleep overshoots its deadline by at most that much instead of
 //    the OS default of 50 us. A deadline nearer than kShardSpinHorizonNs is
@@ -138,8 +144,9 @@ class ShardedRtHost {
     // - per-queue exclusivity is the callee's problem (the QueueClaim
     // protocol). `poll` runs once per loop iteration (it claims and drains
     // at most one due queue; the loop skips its idle step while it returns
-    // packets), and `next_due` bounds a sleeping shard's sleep so no due
-    // queue waits for a backup interrupt when every shard has parked.
+    // packets), and `next_due` bounds the sleep of one parked shard, the
+    // last to park while no sibling wakes for it, so no due queue waits for
+    // a backup interrupt when every shard has parked.
     struct QueueWork {
       // (shard, now_tick) -> packets drained; typically
       // MultiQueuePoller::PollOnce with shard as the core id.
@@ -199,6 +206,11 @@ class ShardedRtHost {
     uint64_t late_wakes = 0;
     uint64_t queue_polls = 0;    // queue_work.poll invocations by this shard
     uint64_t queue_packets = 0;  // packets those invocations drained
+    // Sleeps whose wait ended at the queue gate's next-due tick.
+    uint64_t queue_bound_sleeps = 0;
+    // Sleeps whose following check fired nothing and whose next queue poll
+    // (if the host has queue work) drained nothing.
+    uint64_t wasted_wakes = 0;
   };
   // Safe while running for `wakeups` and `wakeups_suppressed`; read the
   // rest after Stop() (or accept a torn-but-monotonic snapshot).
@@ -254,8 +266,9 @@ class ShardedRtHost {
     std::condition_variable cv;
     // Holds the planned wake tick while the loop thread is inside (or
     // committed to entering) a condvar wait; producers only take the mutex
-    // when it says the poke can matter. The word+fence protocol lives in
-    // src/rt/eventcount.h (model-checked by tests/model_check_test.cc).
+    // when it says the poke can matter, and a parking sibling reads it to
+    // leave the queue deadline to this shard. The word+fence protocol lives
+    // in src/rt/eventcount.h (model-checked by tests/model_check_test.cc).
     SleeperGate<> gate;
     std::atomic<uint64_t> wakeups{0};
     std::atomic<uint64_t> wakeups_suppressed{0};
@@ -300,9 +313,13 @@ class ShardedRtHost {
   // dispatches buffered since the previous spin step.
   void ResolvePendingClean(ShardLoop& loop, bool trailing_steal);
   // A sleeping shard's idle step: a backup-bounded sleep, or a spin when the
-  // wait ends at a deadline inside the spin horizon; returns handlers fired
-  // by the check performed after it.
-  size_t SleepAndDispatch(size_t shard);
+  // wait ends at a deadline inside the spin horizon, then a check; returns
+  // whether it slept and that check fired nothing.
+  bool SleepAndDispatch(size_t shard);
+  // Whether a sibling of `shard` wakes for a queue deadline at `due_tick`
+  // (SleeperGate::Covers on each sibling's gate). Read after the shard's own
+  // PrepareSleep, whose fence orders these loads after its publish.
+  bool SiblingCovers(size_t shard, uint64_t due_tick) const;
   // Spins until the clock reaches `wake_tick`, a command is pending for the
   // shard, or the host stops. Never raises the sleeper gate.
   void SpinUntil(size_t shard, uint64_t wake_tick);

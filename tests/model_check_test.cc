@@ -5,7 +5,8 @@
 //     SpscChannel (the growing command channel), RemotePendingFlag with
 //     DrainChannels (DrainRemote's own drain steps, also with a producer
 //     registering mid-drain), and SleeperGate (the eventcount sleep/wake
-//     protocol with its planned-tick wake rule) are
+//     protocol with its planned-tick wake rule, and two sleepers leaving a
+//     shared deadline to one of them) are
 //     instantiated against ModelCheckerTraits exactly as production
 //     instantiates them against StdAtomicsTraits, and the checker explores
 //     the bounded schedule space to exhaustion.
@@ -23,6 +24,7 @@
 // acquire/release weakenings on the ring surface as happens-before data
 // races on the slot bytes.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -538,12 +540,26 @@ constexpr uint64_t kModelEarlyTick = 4;    // a provisional tick, past K
 constexpr uint64_t kModelBlockTick = 10;   // the tick the sleeper blocks on
 constexpr uint64_t kModelDueBefore = 7;    // due before the blocking tick
 constexpr uint64_t kModelDueAfter = 12;    // due after it
+constexpr uint64_t kModelLateTick = 20;    // a provisional tick past both
 
-// kTickBeforeRecheck = false is the seeded protocol mutation: the gate is
-// raised with a provisional, earlier tick and the real one stored only
-// after the recheck, so a waker can read the early tick, skip a command due
-// before the real one, and leave it stranded until the sleeper wakes.
-template <typename Ordering, bool kTickBeforeRecheck = true>
+// What the sleeper publishes before its recheck, and what after it.
+enum class SleeperPublish {
+  // The shipped default: the tick it blocks on, before the recheck.
+  kBlockTick,
+  // A later tick before the recheck, lowered to the blocking tick after it
+  // (what a shard that first publishes its own plan and then takes the
+  // queue deadline does): a waker reads one tick or the other, each at or
+  // after the blocking one.
+  kLaterTickThenLower,
+  // The seeded protocol mutation: an earlier, provisional tick before the
+  // recheck and the real one only after it, so a waker can read the early
+  // tick, skip a command due before the real one, and leave it stranded
+  // until the sleeper wakes.
+  kEarlierTickThenRaise,
+};
+
+template <typename Ordering,
+          SleeperPublish kPublish = SleeperPublish::kBlockTick>
 ExploreResult ExploreSleeperGate() {
   ModelConfig cfg;
   cfg.preemption_bound = 3;
@@ -559,12 +575,23 @@ ExploreResult ExploreSleeperGate() {
     };
     auto st = std::make_shared<State>();
     ex.Thread([st] {  // sleeper (shard loop entering SleepAndDispatch)
-      st->gate.PrepareSleep(kTickBeforeRecheck ? kModelBlockTick
-                                               : kModelEarlyTick);
+      switch (kPublish) {
+        case SleeperPublish::kBlockTick:
+          st->gate.PrepareSleep(kModelBlockTick);
+          break;
+        case SleeperPublish::kLaterTickThenLower:
+          st->gate.PrepareSleep(kModelLateTick);
+          break;
+        case SleeperPublish::kEarlierTickThenRaise:
+          st->gate.PrepareSleep(kModelEarlyTick);
+          break;
+      }
       // ordering: the recheck itself is relaxed in production too - the
       // gate's kSleepFence is what orders it after the planned-tick store.
       if (st->pending.load(std::memory_order_relaxed) == 0) {
-        if (!kTickBeforeRecheck) {
+        if (kPublish == SleeperPublish::kLaterTickThenLower) {
+          st->gate.Lower(kModelBlockTick);
+        } else if (kPublish == SleeperPublish::kEarlierTickThenRaise) {
           st->gate.PrepareSleep(kModelBlockTick);  // too late
         }
         // Enters cv.wait until kModelBlockTick: the word stays set until a
@@ -618,8 +645,116 @@ TEST(SleeperGateModel, MutationWeakWakeFenceLosesAWakeup) {
   EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
 }
 
+TEST(SleeperGateModel, LaterTickLoweredAfterRecheckNeverLosesAWakeup) {
+  ExploreResult r = ExploreSleeperGate<SleeperGateOrdering,
+                                       SleeperPublish::kLaterTickThenLower>();
+  EXPECT_TRUE(r.ok) << r.Summary();
+  EXPECT_TRUE(r.exhausted) << r.Summary();
+}
+
 TEST(SleeperGateModel, MutationTickStoredAfterRecheckStrandsAnEarlierDeadline) {
-  ExploreResult r = ExploreSleeperGate<SleeperGateOrdering, false>();
+  ExploreResult r = ExploreSleeperGate<SleeperGateOrdering,
+                                       SleeperPublish::kEarlierTickThenRaise>();
+  ASSERT_FALSE(r.ok) << r.Summary();
+  EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
+}
+
+// --- SleeperGate: one waker per shared deadline --------------------------
+//
+// Mirrors ShardedRtHost::SleepAndDispatch when both shards of a host park
+// at once with the queue gate's next-due tick (10) before their own plans
+// (20). Each runs the shipped sequence on its own gate: publish its plan
+// (PrepareSleep, with the fence), read the sibling's gate, and lower its
+// wait and its word to the queue tick unless the sibling Covers it. No
+// pending recheck is modeled: both block. Invariant: some blocked shard's
+// wait ends at or before the queue tick, so the queue is served in time.
+
+constexpr uint64_t kModelQueueDue = 10;  // the queue gate's next-due tick
+constexpr uint64_t kModelOwnPlan = 20;   // each shard's own plan
+
+enum class ParkOrder {
+  // The shipped order: own plan, fence, read the sibling, lower.
+  kPublishThenRead,
+  // Mutation: read the sibling before publishing anything, so two shards
+  // parking at once can each read the other as awake.
+  kReadThenPublish,
+  // Mutation: publish the queue tick, read the sibling, and withdraw to the
+  // own plan when the sibling covers: both can read each other's queue tick
+  // and both withdraw.
+  kPublishDueThenWithdraw,
+};
+
+template <typename Ordering, ParkOrder kOrder = ParkOrder::kPublishThenRead>
+ExploreResult ExploreSharedDeadline() {
+  ModelConfig cfg;
+  cfg.preemption_bound = 3;
+  return Explore(cfg, [](ModelExecution& ex) {
+    using Gate = SleeperGate<ModelCheckerTraits, Ordering>;
+    struct State {
+      std::array<Gate, 2> gates;
+      std::array<uint64_t, 2> wait{};  // the tick each shard blocks until
+    };
+    auto st = std::make_shared<State>();
+    auto park = [st](size_t self) {
+      Gate& own = st->gates[self];
+      const Gate& sibling = st->gates[1 - self];
+      uint64_t wait = kModelOwnPlan;
+      switch (kOrder) {
+        case ParkOrder::kPublishThenRead:
+          own.PrepareSleep(kModelOwnPlan);
+          if (!Gate::Covers(sibling.SiblingPlan(), kModelQueueDue)) {
+            wait = kModelQueueDue;
+            own.Lower(kModelQueueDue);
+          }
+          break;
+        case ParkOrder::kReadThenPublish:
+          if (!Gate::Covers(sibling.SiblingPlan(), kModelQueueDue)) {
+            wait = kModelQueueDue;
+          }
+          own.PrepareSleep(wait);
+          break;
+        case ParkOrder::kPublishDueThenWithdraw:
+          own.PrepareSleep(kModelQueueDue);
+          wait = kModelQueueDue;
+          if (Gate::Covers(sibling.SiblingPlan(), kModelQueueDue)) {
+            wait = kModelOwnPlan;
+            own.PrepareSleep(kModelOwnPlan);
+          }
+          break;
+      }
+      st->wait[self] = wait;
+    };
+    ex.Thread([park] { park(0); });
+    ex.Thread([park] { park(1); });
+    ex.Finally([st] {
+      MODEL_CHECK(std::min(st->wait[0], st->wait[1]) <= kModelQueueDue);
+    });
+  });
+}
+
+TEST(SleeperGateModel, ShippedParkOrderAlwaysLeavesOneWakerForTheDeadline) {
+  ExploreResult r = ExploreSharedDeadline<SleeperGateOrdering>();
+  EXPECT_TRUE(r.ok) << r.Summary();
+  EXPECT_TRUE(r.exhausted) << r.Summary();
+  EXPECT_EQ(r.horizon_hits, 0u) << r.Summary();
+}
+
+TEST(SleeperGateModel, MutationReadSiblingBeforePublishingLeavesNoWaker) {
+  ExploreResult r = ExploreSharedDeadline<SleeperGateOrdering,
+                                          ParkOrder::kReadThenPublish>();
+  ASSERT_FALSE(r.ok) << r.Summary();
+  EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
+}
+
+TEST(SleeperGateModel, MutationPublishDeadlineThenWithdrawLeavesNoWaker) {
+  ExploreResult r = ExploreSharedDeadline<SleeperGateOrdering,
+                                          ParkOrder::kPublishDueThenWithdraw>();
+  ASSERT_FALSE(r.ok) << r.Summary();
+  EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
+}
+
+TEST(SleeperGateModel, MutationWeakSleepFenceLeavesNoWakerForTheDeadline) {
+  ExploreResult r = ExploreSharedDeadline<WeakSleepFenceOrdering>();
   ASSERT_FALSE(r.ok) << r.Summary();
   EXPECT_NE(r.failure.find("MODEL_CHECK"), std::string::npos) << r.Summary();
 }

@@ -58,6 +58,7 @@ class ProducerQueue : public MultiQueuePoller::Queue {
     if (in_drain_.fetch_add(1, std::memory_order_acq_rel) != 0) {
       overlap_.store(true, std::memory_order_relaxed);
     }
+    drains_.fetch_add(1, std::memory_order_relaxed);
     // ordering: see Produce.
     uint64_t avail = available_.load(std::memory_order_relaxed);
     uint64_t take = std::min<uint64_t>(avail, max_packets);
@@ -71,9 +72,12 @@ class ProducerQueue : public MultiQueuePoller::Queue {
     return available_.load(std::memory_order_relaxed);
   }
   bool overlapped() const { return overlap_.load(std::memory_order_relaxed); }
+  // Polls that reached this queue so far; safe while cores poll.
+  uint64_t drains() const { return drains_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> available_{0};
+  std::atomic<uint64_t> drains_{0};
   std::atomic<int> in_drain_{0};
   std::atomic<bool> overlap_{false};
   uint64_t drained_ = 0;
@@ -211,6 +215,15 @@ TEST(MultiQueuePollerTest, ThreadsNeverOverlapAndConservePackets) {
         produced += 25;
       }
       tick.fetch_add(50, std::memory_order_relaxed);
+      std::this_thread::yield();
+    }
+    // Stop only once every queue has been polled: with the core threads
+    // descheduled, the producer can send all 200k packets before some
+    // queue's first poll. The cap keeps a real starvation a failure below.
+    auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < cap &&
+           !std::all_of(queues.begin(), queues.end(),
+                        [](const auto& q) { return q->drains() > 0; })) {
       std::this_thread::yield();
     }
     stop.store(true, std::memory_order_relaxed);
@@ -398,6 +411,44 @@ TEST(MultiQueuePollerHostTest, QuietQueuesDoNotBusySpinTheShards) {
   EXPECT_GT(sleeps, 0u);
   EXPECT_GT(q0.drains(), 0u);  // still served, at the governed cadence
   EXPECT_GT(q1.drains(), 0u);
+}
+
+TEST(MultiQueuePollerHostTest, OneParkedShardWakesPerQueueDeadline) {
+  // Two sleeping shards, one queue polled at a fixed 2 ms cadence, a 1 s
+  // backup period and nothing else scheduled. At each queue deadline one
+  // shard wakes and drains the queue; the other leaves the deadline to it
+  // and sleeps to its backup period, so no wake finds nothing to do. The
+  // slack of 2 covers the start, when both shards are awake. Counts only:
+  // no assertion times anything.
+  MultiQueuePoller::Config pcfg;
+  pcfg.governor = TestGovernor();
+  pcfg.governor.min_interval_ticks = 2'000;  // 2 ms at 1 MHz measure
+  pcfg.governor.max_interval_ticks = 2'000;
+  pcfg.governor.initial_interval_ticks = 2'000;
+  MultiQueuePoller poller(pcfg);
+  FixedQueue q(1);
+  poller.AddQueue(&q);
+
+  ShardedRtHost::Config cfg;
+  cfg.num_shards = 2;
+  cfg.interrupt_clock_hz = 1;  // 1 s backup
+  cfg.queue_work.poll = [&](size_t shard, uint64_t now) {
+    return poller.PollOnce(static_cast<uint32_t>(shard), now);
+  };
+  cfg.queue_work.next_due = [&] { return poller.next_due_tick(); };
+  ShardedRtHost host(cfg);
+  host.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  host.Stop();
+  uint64_t queue_bound_sleeps = 0;
+  uint64_t wasted_wakes = 0;
+  for (size_t s = 0; s < host.num_shards(); ++s) {
+    queue_bound_sleeps += host.shard_loop_stats(s).queue_bound_sleeps;
+    wasted_wakes += host.shard_loop_stats(s).wasted_wakes;
+  }
+  EXPECT_GT(q.drains(), 0u);
+  EXPECT_LE(queue_bound_sleeps, q.drains() + 2);
+  EXPECT_LE(wasted_wakes, 2u);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // falls due after the sleeper's planned wake (and none skipped after a
 // late wake), cross-core commands reaching a shard that spins to a near
 // deadline, a sleeping shard's lateness record and its loop thread's
-// timer slack. Real threads and wall-clock sleeps;
+// timer slack, and the rule by which a parking shard leaves a queue
+// deadline to a sibling. Real threads and wall-clock sleeps;
 // bounds are loose for loaded CI machines. Runs under the `cross-thread`
 // label / tsan preset.
 
@@ -154,6 +155,29 @@ TEST(ShardedRtHostTest, LateWakePublishesNoPlanSoEveryPokeMatters) {
                                          /*due_tick=*/UINT64_MAX - 1,
                                          host.clock().NowTicks(),
                                          /*horizon_ticks=*/0));
+}
+
+TEST(SleeperGateTest, SiblingCoversADeadlineOnlyAwakeOrWithAPlanByIt) {
+  // A parking shard leaves a queue deadline at tick 100 to a sibling whose
+  // gate reads 0 (awake: it polls on its next iteration) or a real plan at
+  // or before the deadline. kUnplannedWake says nothing about when the
+  // sibling wakes, so it covers nothing.
+  constexpr uint64_t kDue = 100;
+  struct Row {
+    uint64_t planned;
+    bool covers;
+  };
+  for (const Row& row : {Row{0, true},
+                         Row{SleeperGate<>::kUnplannedWake, false},
+                         Row{2, true},
+                         Row{kDue, true},
+                         Row{kDue + 1, false},
+                         Row{UINT64_MAX, false}}) {
+    EXPECT_EQ(SleeperGate<>::Covers(row.planned, kDue), row.covers)
+        << "planned " << row.planned;
+  }
+  EXPECT_FALSE(
+      SleeperGate<>::Covers(SleeperGate<>::kUnplannedWake, UINT64_MAX));
 }
 
 TEST(ShardedRtHostTest, CrossCoreCommandReachesASpinningShardWithoutANotify) {
