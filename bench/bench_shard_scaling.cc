@@ -342,7 +342,6 @@ IsolatedSloResult RunIsolatedSloOnce(double scale) {
     hc.interrupt_clock_hz = 1'000;  // 1 ms backup period
     hc.shard_profiles.resize(2);
     hc.shard_profiles[0].isolated = true;
-    hc.shard_profiles[0].slo_lateness_ticks = kSloTicks;
     hc.shard_setup = [&](size_t shard) {
       ChainFire(shard == 0 ? &iso_chain : &normal_chain);
     };
@@ -379,7 +378,7 @@ IsolatedSloResult RunIsolatedSloOnce(double scale) {
   r.pass_clean_p999 = r.clean_p999 < kSloTicks;
   r.pass_min_samples = r.clean_samples >= kMinCleanSamples;
   r.pass_zero_true_late = r.iso.backup_true_late == 0;
-  r.pass_backup_exercised = r.iso.backup_fires > 0;
+  r.pass_backup_exercised = r.loop.backup_checks > 0;
   r.pass_normal_piggyback = r.normal_piggyback_dispatches > 0;
   r.passed = r.pass_clean_p999 && r.pass_min_samples &&
              r.pass_zero_true_late && r.pass_backup_exercised &&
@@ -453,7 +452,7 @@ int Run(const std::string& json_path, double scale) {
   std::printf(
       "  backup compensated: fires %llu on_time %llu true_late %llu "
       "steal_late %llu\n",
-      static_cast<unsigned long long>(slo.iso.backup_fires),
+      static_cast<unsigned long long>(slo.loop.backup_checks),
       static_cast<unsigned long long>(slo.iso.backup_on_time),
       static_cast<unsigned long long>(slo.iso.backup_true_late),
       static_cast<unsigned long long>(slo.iso.backup_steal_late));
@@ -547,15 +546,14 @@ int Run(const std::string& json_path, double scale) {
       "    \"spin\": {\"checks\": %llu, \"calibrated_gap_ticks\": %llu, "
       "\"steal_threshold_ticks\": %llu, \"steal_events\": %llu, "
       "\"stolen_ticks\": %llu, \"max_gap_ticks\": %llu, "
-      "\"steal_suppressed_dispatches\": %llu, \"slo_violations\": %llu},\n",
+      "\"steal_suppressed_dispatches\": %llu},\n",
       static_cast<unsigned long long>(slo.loop.polls),
       static_cast<unsigned long long>(slo.iso.calibrated_gap_ticks),
       static_cast<unsigned long long>(slo.iso.steal_threshold_ticks),
       static_cast<unsigned long long>(slo.iso.steal_events),
       static_cast<unsigned long long>(slo.iso.stolen_ticks),
       static_cast<unsigned long long>(slo.iso.max_gap_ticks),
-      static_cast<unsigned long long>(slo.iso.steal_suppressed_dispatches),
-      static_cast<unsigned long long>(slo.iso.slo_violations));
+      static_cast<unsigned long long>(slo.iso.steal_suppressed_dispatches));
   std::fprintf(
       f,
       "    \"backup_compensated\": {\"compensation_ticks\": %llu, "
@@ -565,7 +563,7 @@ int Run(const std::string& json_path, double scale) {
       "\"trigger_piggyback_dispatches\": %llu, \"backup_dispatches\": "
       "%llu},\n",
       static_cast<unsigned long long>(slo.iso.compensation_ticks),
-      static_cast<unsigned long long>(slo.iso.backup_fires),
+      static_cast<unsigned long long>(slo.loop.backup_checks),
       static_cast<unsigned long long>(slo.iso.backup_on_time),
       static_cast<unsigned long long>(slo.iso.backup_true_late),
       static_cast<unsigned long long>(slo.iso.backup_steal_late),

@@ -35,12 +35,13 @@ uint64_t SoftTimerFacility::ticks_per_backup_interval() const {
 void SoftTimerFacility::DispatchFired(const TimerFired& fired,
                                       const Handler& handler) {
   const TimerPayload& p = *fired.payload;
+  CheckState& check = *check_;
   if (policy_) {
     bool quarantined = p.tag != 0 &&
-                       dispatch_source_ != TriggerSource::kBackupIntr &&
+                       check.source != TriggerSource::kBackupIntr &&
                        policy_->IsQuarantined(p.tag);
     size_t cap = policy_->max_dispatches_per_check();
-    if (quarantined || (cap != 0 && dispatched_this_check_ >= cap)) {
+    if (quarantined || (cap != 0 && check.dispatched >= cap)) {
       policy_->NoteDeferred(quarantined);
       // Defer: re-queue the event under its own id. The queue clamps the
       // (now past) deadline to one tick beyond the current expiry, so the
@@ -56,17 +57,17 @@ void SoftTimerFacility::DispatchFired(const TimerFired& fired,
   // One clock read serves the whole drain batch (seeded by ExpireDue);
   // re-read every max_dispatches_per_clock_read dispatches so fired_tick
   // staleness stays bounded under pathological batch sizes.
-  if (batch_reads_left_ == 0) {
-    batch_fired_tick_ = MeasureTime();
-    batch_reads_left_ = config_.max_dispatches_per_clock_read;
+  if (check.reads_left == 0) {
+    check.fired_tick = MeasureTime();
+    check.reads_left = config_.max_dispatches_per_clock_read;
   }
-  --batch_reads_left_;
-  info.fired_tick = batch_fired_tick_;
-  info.source = dispatch_source_;
+  --check.reads_left;
+  info.fired_tick = check.fired_tick;
+  info.source = check.source;
   info.handler_tag = p.tag;
-  ++dispatched_this_check_;
+  ++check.dispatched;
   ++stats_.dispatches;
-  ++stats_.dispatches_by_source[static_cast<size_t>(dispatch_source_)];
+  ++stats_.dispatches_by_source[static_cast<size_t>(check.source)];
   stats_.lateness_ticks.Record(info.lateness_ticks());
   // A non-zero cookie marks a runtime-tracked event; tell the owner (before
   // the handler, so a handler rescheduling through the runtime sees a
@@ -74,15 +75,11 @@ void SoftTimerFacility::DispatchFired(const TimerFired& fired,
   if (p.user_data != 0 && event_retired_fn_ != nullptr) {
     event_retired_fn_(event_retired_ctx_, p.user_data);
   }
-  if (lateness_probe_fn_ != nullptr) {
-    lateness_probe_fn_(lateness_probe_ctx_, info);
-  }
-  if (dispatch_observer_) {
-    dispatch_observer_(info);
-  }
+  uint64_t cost = dispatch_hook_fn_ != nullptr
+                      ? dispatch_hook_fn_(dispatch_hook_ctx_, info)
+                      : 0;
   handler(info);
   if (policy_) {
-    uint64_t cost = dispatch_cost_probe_ ? dispatch_cost_probe_(info) : 0;
     policy_->OnDispatchCost(p.tag, cost);
   }
 }
@@ -164,22 +161,21 @@ bool SoftTimerFacility::RescheduleSoftEventFrom(SoftEventId id,
 
 // SOFTTIMER_HOT
 size_t SoftTimerFacility::ExpireDue(TriggerSource source) {
-  dispatch_source_ = source;
   uint64_t now = MeasureTime();
   if (policy_) {
     policy_->OnCheck(now, source, queue_.EarliestDeadline(), queue_.size());
   }
   // The expiry read doubles as the batch's fired_tick stamp (one amortized
   // clock read per drain; see Config::max_dispatches_per_clock_read).
-  batch_fired_tick_ = now;
-  batch_reads_left_ = config_.max_dispatches_per_clock_read;
-  dispatched_this_check_ = 0;
+  CheckState check{source, now, config_.max_dispatches_per_clock_read, 0};
+  CheckState* outer = std::exchange(check_, &check);
   queue_.ExpireUpTo(now);
+  check_ = outer;
   // Refresh the gate from the queue (handlers may have scheduled or
   // cancelled; the queue's cached earliest makes this cheap).
   std::optional<uint64_t> earliest = queue_.EarliestDeadline();
   next_deadline_ = earliest ? *earliest : UINT64_MAX;
-  return dispatched_this_check_;
+  return check.dispatched;
 }
 
 }  // namespace softtimer

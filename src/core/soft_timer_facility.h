@@ -24,7 +24,7 @@
 // this repository, machine::Kernel) is responsible for (a) calling
 // OnTriggerState() at every trigger state, (b) calling OnBackupInterrupt()
 // from the periodic timer interrupt, and (c) charging whatever per-check and
-// per-dispatch costs apply via the observer hooks.
+// per-dispatch costs apply via the dispatch hook.
 //
 // Hot-path anatomy (see DESIGN.md): trigger-state checks are the operation
 // the paper requires to cost "roughly that of a function call", so the
@@ -183,24 +183,20 @@ class SoftTimerFacility {
   // events that no trigger state picked up.
   size_t OnBackupInterrupt() { return OnTriggerState(TriggerSource::kBackupIntr); }
 
-  // Observer invoked once per dispatched handler (before the handler), so a
-  // host can charge per-dispatch CPU cost. May be empty.
-  void set_dispatch_observer(std::function<void(const FireInfo&)> obs) {
-    dispatch_observer_ = std::move(obs);
-  }
-
-  // Raw-function-pointer probe invoked once per dispatched handler (before
-  // the handler and before the dispatch observer) with the event's FireInfo.
-  // Kept as a plain pointer + context so installing and firing it never
-  // allocates and costs one predictable indirect call on the hot path - this
-  // is how ShardedRtHost classifies an isolated or SLO-carrying shard's
-  // dispatches (steal-clean histogram, SLO violations) without a
-  // std::function in the loop. Independent of the dispatch observer; both
-  // may be installed.
-  using LatenessProbeFn = void (*)(void* ctx, const FireInfo& info);
-  void set_lateness_probe(LatenessProbeFn fn, void* ctx) {
-    lateness_probe_fn_ = fn;
-    lateness_probe_ctx_ = ctx;
+  // Raw-function-pointer hook invoked once per dispatched handler, before
+  // the handler, with the event's FireInfo. It returns the dispatch's cost
+  // in measurement ticks, which the degradation policy (when enabled)
+  // charges to the handler's tag after the handler returns, to enforce the
+  // per-dispatch handler budget. The host is the only party that knows the
+  // charged CPU cost: machine::Kernel charges it here, ShardedRtHost sorts a
+  // spinning shard's dispatches into its steal-clean histogram and returns
+  // 0. Without a hook, costs read as 0 and no handler is ever quarantined.
+  // Kept as a plain pointer + context, like the retire hook, so installing
+  // and firing it never allocates.
+  using DispatchHookFn = uint64_t (*)(void* ctx, const FireInfo& info);
+  void set_dispatch_hook(DispatchHookFn fn, void* ctx) {
+    dispatch_hook_fn_ = fn;
+    dispatch_hook_ctx_ = ctx;
   }
 
   // Observer invoked after each ScheduleSoftEvent. The host's idle loop uses
@@ -208,15 +204,6 @@ class SoftTimerFacility {
   // (Section 5.2's halt condition (a) can newly fail).
   void set_schedule_observer(std::function<void()> obs) {
     schedule_observer_ = std::move(obs);
-  }
-
-  // Probe invoked after each handler returns (only when the degradation
-  // policy is enabled), returning the dispatch's cost in measurement ticks
-  // so the policy can enforce the per-dispatch handler budget. The host is
-  // the only party that knows the charged CPU cost; without a probe, costs
-  // read as 0 and no handler is ever quarantined.
-  void set_dispatch_cost_probe(std::function<uint64_t(const FireInfo&)> probe) {
-    dispatch_cost_probe_ = std::move(probe);
   }
 
   // --- Degradation ------------------------------------------------------
@@ -292,10 +279,25 @@ class SoftTimerFacility {
     }
   };
 
+  // The state of one check in progress (one ExpireDue), kept on that
+  // ExpireDue's stack. A handler that reaches a trigger state runs a nested
+  // check with its own state, so it cannot clobber the outer one's.
+  struct CheckState {
+    // Trigger source of the check, so each dispatch attributes its FireInfo.
+    TriggerSource source;
+    // Cached clock read stamped into FireInfo::fired_tick for the drain
+    // batch; seeded from the check's own read and refreshed every
+    // max_dispatches_per_clock_read dispatches.
+    uint64_t fired_tick;
+    uint32_t reads_left;
+    // Handlers invoked by the check so far.
+    size_t dispatched;
+  };
+
   // Single dispatch entry point: defers the event under its own id when the
   // policy says so (quarantined tag at a non-backup check, or batch cap
   // reached); otherwise builds FireInfo from the fired payload, updates
-  // stats, runs observers and the handler.
+  // stats, runs the hooks and the handler.
   void DispatchFired(const TimerFired& fired, const Handler& handler);
 
   // Slow path of the check: feeds the policy's density tracker (if any),
@@ -307,28 +309,19 @@ class SoftTimerFacility {
   Config config_;
   HeapTimerQueue queue_;
   std::unique_ptr<DegradationPolicy> policy_;
-  std::function<void(const FireInfo&)> dispatch_observer_;
   std::function<void()> schedule_observer_;
-  std::function<uint64_t(const FireInfo&)> dispatch_cost_probe_;
   EventRetiredFn event_retired_fn_ = nullptr;
   void* event_retired_ctx_ = nullptr;
-  LatenessProbeFn lateness_probe_fn_ = nullptr;
-  void* lateness_probe_ctx_ = nullptr;
+  DispatchHookFn dispatch_hook_fn_ = nullptr;
+  void* dispatch_hook_ctx_ = nullptr;
   // Conservative cached copy of the earliest pending deadline (read only
   // when no policy is configured). Invariant: next_deadline_ <= the queue's
   // true earliest deadline; UINT64_MAX when (believed) empty. May lag low
   // after a cancel - that costs one slow-path check, never a missed event.
   uint64_t next_deadline_ = UINT64_MAX;
-  // Trigger source of the OnTriggerState call currently dispatching, so the
-  // per-event callbacks can attribute their FireInfo (single-threaded).
-  TriggerSource dispatch_source_ = TriggerSource::kBackupIntr;
-  // Cached clock read stamped into FireInfo::fired_tick for the drain batch
-  // in progress; seeded by ExpireDue from the read it already performs and
-  // refreshed every max_dispatches_per_clock_read dispatches.
-  uint64_t batch_fired_tick_ = 0;
-  uint32_t batch_reads_left_ = 0;
-  // Handlers invoked by the OnTriggerState call in progress.
-  size_t dispatched_this_check_ = 0;
+  // The innermost check in progress, null outside one; DispatchFired only
+  // runs inside ExpireDue, which sets it and restores the outer one.
+  CheckState* check_ = nullptr;
   // Mutable so stats() can refresh the slab occupancy fields on read.
   mutable Stats stats_;
 };

@@ -19,37 +19,11 @@ Kernel::Kernel(Simulator* sim, Config config)
       config_.measure_clock_override ? config_.measure_clock_override : &clock_;
   facility_ = std::make_unique<SoftTimerFacility>(measure_clock, fc);
 
-  // Each dispatched handler costs one procedure call on the CPU that hit the
-  // trigger state, plus any fault-injected overrun. An overrun also models a
-  // long non-preemptible section: trigger states and backup ticks are
-  // suppressed until it ends, which is how a runaway handler starves the
-  // facility. Once the degradation policy quarantines the tag, the host
-  // bounds the overrun at the handler budget (watchdog preemption), so a
-  // quarantined handler can no longer open long stall windows.
-  facility_->set_dispatch_observer([this](const SoftTimerFacility::FireInfo& info) {
-    SimDuration cost = config_.profile.soft_dispatch_cost;
-    if (fault_hooks_.handler_overrun) {
-      SimDuration extra = fault_hooks_.handler_overrun(info.handler_tag);
-      if (extra > SimDuration::Zero()) {
-        const DegradationPolicy* policy = facility_->degradation();
-        if (policy && policy->handler_budget_ticks() > 0 &&
-            policy->IsQuarantined(info.handler_tag)) {
-          SimDuration budget =
-              clock_.TickPeriod() * static_cast<int64_t>(policy->handler_budget_ticks());
-          extra = std::min(extra, budget);
-        }
-        cost += extra;
-        SimTime stall_end = sim_->now() + extra;
-        if (stall_end > handler_stall_until_) {
-          handler_stall_until_ = stall_end;
-        }
-      }
-    }
-    cpu(current_trigger_cpu_).Steal(cost);
-    last_dispatch_cost_ticks_ = static_cast<uint64_t>(cost / clock_.TickPeriod());
-  });
-  facility_->set_dispatch_cost_probe(
-      [this](const SoftTimerFacility::FireInfo&) { return last_dispatch_cost_ticks_; });
+  facility_->set_dispatch_hook(
+      [](void* ctx, const SoftTimerFacility::FireInfo& info) {
+        return static_cast<Kernel*>(ctx)->ChargeDispatch(info);
+      },
+      this);
   // A freshly scheduled event may make idle polling worthwhile again
   // (Section 5.2 halt condition (a)).
   facility_->set_schedule_observer([this] {
@@ -79,6 +53,36 @@ Kernel::Kernel(Simulator* sim, Config config)
   for (int i = 0; i < config_.num_cpus; ++i) {
     MaybeStartIdlePoll(i);
   }
+}
+
+// Each dispatched handler costs one procedure call on the CPU that hit the
+// trigger state, plus any fault-injected overrun. An overrun also models a
+// long non-preemptible section: trigger states and backup ticks are
+// suppressed until it ends, which is how a runaway handler starves the
+// facility. Once the degradation policy quarantines the tag, the host
+// bounds the overrun at the handler budget (watchdog preemption), so a
+// quarantined handler can no longer open long stall windows.
+uint64_t Kernel::ChargeDispatch(const SoftTimerFacility::FireInfo& info) {
+  SimDuration cost = config_.profile.soft_dispatch_cost;
+  if (fault_hooks_.handler_overrun) {
+    SimDuration extra = fault_hooks_.handler_overrun(info.handler_tag);
+    if (extra > SimDuration::Zero()) {
+      const DegradationPolicy* policy = facility_->degradation();
+      if (policy && policy->handler_budget_ticks() > 0 &&
+          policy->IsQuarantined(info.handler_tag)) {
+        SimDuration budget =
+            clock_.TickPeriod() * static_cast<int64_t>(policy->handler_budget_ticks());
+        extra = std::min(extra, budget);
+      }
+      cost += extra;
+      SimTime stall_end = sim_->now() + extra;
+      if (stall_end > handler_stall_until_) {
+        handler_stall_until_ = stall_end;
+      }
+    }
+  }
+  cpu(current_trigger_cpu_).Steal(cost);
+  return static_cast<uint64_t>(cost / clock_.TickPeriod());
 }
 
 void Kernel::OnBackupTick() {

@@ -182,6 +182,9 @@ class Kernel {
     bool deferred = false;  // a latched tick is waiting for interrupts on
   };
 
+  // The facility's dispatch hook: charges the dispatch's cost to the CPU
+  // that hit the trigger state and returns it in ticks.
+  uint64_t ChargeDispatch(const SoftTimerFacility::FireInfo& info);
   void OnBackupTick();
   void OnPeriodicTick(PeriodicTimer* t);
   void DeferTick(PeriodicTimer* t);
@@ -207,9 +210,6 @@ class Kernel {
   // Backup-rate multiplier in effect (reprogrammed from the degradation
   // policy's value at trigger states - i.e. when software actually runs).
   uint32_t backup_multiplier_ = 1;
-  // Dispatch cost charged for the handler currently firing, reported back
-  // to the facility's budget probe (ticks).
-  uint64_t last_dispatch_cost_ticks_ = 0;
   // Per-CPU previous-trigger timestamps.
   std::vector<SimTime> last_trigger_;
   std::vector<bool> have_last_trigger_;

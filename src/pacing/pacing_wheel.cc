@@ -99,7 +99,7 @@ void PacingWheel::ParkNode(uint32_t index, PacedFlowNode& node) {
   if (slot.entries.size() == slot.entries.capacity()) {
     GrowSlotEntries(slot);
   }
-  slot.entries.push_back(index);  // lint:allow-alloc
+  slot.entries.push_back(index);
   if (node.deadline < slot.min_deadline) {
     slot.min_deadline = node.deadline;
   }
@@ -155,7 +155,7 @@ void PacingWheel::LinkNode(uint32_t index, PacedFlowNode& node) {
   if (slot.entries.size() == slot.entries.capacity()) {
     GrowSlotEntries(slot);
   }
-  slot.entries.push_back(index);  // lint:allow-alloc
+  slot.entries.push_back(index);
   if (slot.entries.capacity() > slot_capacity_high_water_) {
     slot_capacity_high_water_ = static_cast<uint32_t>(slot.entries.capacity());
   }
@@ -481,7 +481,7 @@ size_t PacingWheel::Drain(uint64_t now_tick, BatchSink* sink) {
         // through the ordinary O(1) paths.
         // Amortized: batch_ capacity is bounded by max_batch (reserved in
         // the constructor) and FlushBatch clears without shrinking.
-        batch_.push_back(  // lint:allow-alloc
+        batch_.push_back(
             PacedEmit{PacedFlowId{PackTimerIdValue(index, node.generation)},
                       node.user_data, static_cast<uint32_t>(grant), exhausted});
         if (batch_.size() >= config_.max_batch) {

@@ -34,12 +34,11 @@ ShardedRtHost::ShardedRtHost(Config config)
     ShardLoop& loop = *loops_.back();
     if (!config_.shard_profiles.empty()) {
       loop.isolated = config_.shard_profiles[i].isolated;
-      loop.slo_budget = config_.shard_profiles[i].slo_lateness_ticks;
     }
-    // A plain sleeping shard needs no probe: the facility's own lateness
+    // A sleeping shard needs no probe: the facility's own lateness
     // histogram is both its raw and its clean record.
-    if (loop.isolated || loop.slo_budget != 0) {
-      runtime_->shard_facility(i).set_lateness_probe(
+    if (loop.isolated) {
+      runtime_->shard_facility(i).set_dispatch_hook(
           &ShardedRtHost::LatenessProbe, &loop);
     }
   }
@@ -118,13 +117,8 @@ bool ShardedRtHost::SleepAndDispatch(size_t shard) {
   SoftTimerFacility& facility = runtime_->shard_facility(shard);
   uint64_t now = clock_.NowTicks();
   uint64_t backup_ticks = facility.ticks_per_backup_interval();
-  uint64_t wake_tick = now + backup_ticks;
-  bool backup_bound = true;
-  std::optional<uint64_t> deadline = facility.NextDeadlineTick();
-  if (deadline && *deadline < wake_tick) {
-    wake_tick = *deadline;
-    backup_bound = false;
-  }
+  uint64_t next_deadline = facility.NextDeadlineTick().value_or(
+      ShardedSoftTimerRuntime::kNeverDue);
   // No due queue may wait out a full backup period just because every
   // shard parked: the earliest queue deadline bounds the sleep of one
   // parked shard exactly like its own next soft-event deadline does. Each
@@ -134,17 +128,18 @@ bool ShardedRtHost::SleepAndDispatch(size_t shard) {
   uint64_t queue_due = config_.queue_work.next_due
                            ? config_.queue_work.next_due()
                            : ShardedSoftTimerRuntime::kNeverDue;
-  bool queue_first = queue_due < wake_tick;
-  uint64_t first_tick = queue_first ? queue_due : wake_tick;
-  if ((queue_first || !backup_bound) &&
-      first_tick <= now + spin_horizon_ticks_) {
-    // Nearer than a sleep/wake costs (a deadline already passed included):
-    // spin, then check as a wake would.
+  bool hold = now < loop.unplanned_until;
+  WaitPlan plan = PlanWait(now, next_deadline, backup_ticks, queue_due,
+                           spin_horizon_ticks_, hold);
+  if (plan.spin) {
+    // Spin, then check as a wake would.
     ++loop.stats.spins;
-    SpinUntil(shard, first_tick);
+    SpinUntil(shard, plan.wake_tick);
     runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
     return false;
   }
+  uint64_t wake_tick = plan.wake_tick;
+  bool backup_bound = plan.backup_bound;
   bool slept = false;
   {
     std::unique_lock<std::mutex> lock(loop.m);
@@ -153,13 +148,12 @@ bool ShardedRtHost::SleepAndDispatch(size_t shard) {
     // one backup period. During a late-wake hold it carries no plan, so no
     // poke is skipped.
     assert(wake_tick != 0);
-    bool hold = now < loop.unplanned_until;
-    loop.gate.PrepareSleep(hold ? SleeperGate<>::kUnplannedWake : wake_tick);
+    loop.gate.PrepareSleep(plan.published_tick);
     // One parked shard wakes for the queue deadline. The own plan went out
     // first, through the gate's fence, so of two shards parking at once the
     // later one reads the other's plan and takes the deadline itself
     // (src/rt/eventcount.h).
-    bool queue_bound = queue_first && !SiblingCovers(shard, queue_due);
+    bool queue_bound = plan.queue_first && !SiblingCovers(shard, queue_due);
     if (queue_bound) {
       wake_tick = queue_due;
       backup_bound = false;
@@ -184,7 +178,8 @@ bool ShardedRtHost::SleepAndDispatch(size_t shard) {
     loop.gate.FinishSleep();
   }
   uint64_t woke = clock_.NowTicks();
-  if (woke > wake_tick + backup_ticks) {
+  WakeVerdict verdict = JudgeWait(woke, wake_tick, backup_ticks, backup_bound);
+  if (verdict.late) {
     // The OS ran the thread more than a backup period past its plan. For
     // the hold, publish no plan: a skipped poke would wait on a wake that
     // may come this late again.
@@ -192,11 +187,11 @@ bool ShardedRtHost::SleepAndDispatch(size_t shard) {
     loop.unplanned_until = woke + late_hold_ticks_;
   }
   size_t fired = 0;
-  if (backup_bound && woke >= wake_tick) {
+  if (verdict.source == TriggerSource::kBackupIntr) {
     ++loop.stats.backup_checks;
     fired = runtime_->OnBackupInterrupt(shard);
   } else {
-    fired = runtime_->OnTriggerState(shard, TriggerSource::kIdleLoop);
+    fired = runtime_->OnTriggerState(shard, verdict.source);
   }
   return slept && fired == 0;
 }
@@ -351,7 +346,6 @@ void ShardedRtHost::SpinStep(size_t shard) {
   // deadline D.
   if (now >= loop.backup_deadline - iso.compensation_ticks) {
     ++loop.stats.backup_checks;
-    ++iso.backup_fires;
     if (now <= loop.backup_deadline) {
       ++iso.backup_on_time;
     } else if (steal) {
@@ -369,34 +363,24 @@ void ShardedRtHost::SpinStep(size_t shard) {
 }
 
 // SOFTTIMER_HOT
-void ShardedRtHost::LatenessProbe(void* ctx,
-                                  const SoftTimerFacility::FireInfo& info) {
+uint64_t ShardedRtHost::LatenessProbe(void* ctx,
+                                      const SoftTimerFacility::FireInfo& info) {
   auto* loop = static_cast<ShardLoop*>(ctx);
-  uint64_t lateness = info.lateness_ticks();
-  if (!loop->isolated) {
-    // Sleeping shard with an SLO: no steal detection, every dispatch is
-    // clean and already in the facility's histogram.
-    if (lateness > loop->slo_budget) {
-      ++loop->iso.slo_violations;
-    }
-    return;
-  }
   if (loop->check_tainted) {
     // Leading gap was a steal: this dispatch's fired_tick is preemption
     // noise, keep it out of the clean histogram entirely.
     ++loop->iso.steal_suppressed_dispatches;
-    return;
-  }
-  // Clean so far, but a steal could still have landed between the last
-  // spin step's clock read and the facility's dispatch read. Buffer until
-  // the NEXT spin step vouches for the trailing gap (sandwich rule: a
-  // dispatch is clean only when the gaps on both sides of its check are
-  // clean).
-  if (loop->pending_clean_count < kCleanBufferCap) {
-    loop->pending_clean[loop->pending_clean_count++] = lateness;
+  } else if (loop->pending_clean_count < kCleanBufferCap) {
+    // Clean so far, but a steal could still have landed between the last
+    // spin step's clock read and the facility's dispatch read. Buffer until
+    // the NEXT spin step vouches for the trailing gap (sandwich rule: a
+    // dispatch is clean only when the gaps on both sides of its check are
+    // clean).
+    loop->pending_clean[loop->pending_clean_count++] = info.lateness_ticks();
   } else {
     ++loop->iso.steal_suppressed_dispatches;  // overflow: raw-only
   }
+  return 0;  // the host charges no per-dispatch cost
 }
 
 void ShardedRtHost::ResolvePendingClean(ShardLoop& loop, bool trailing_steal) {
@@ -407,11 +391,7 @@ void ShardedRtHost::ResolvePendingClean(ShardLoop& loop, bool trailing_steal) {
     loop.iso.steal_suppressed_dispatches += loop.pending_clean_count;
   } else {
     for (size_t i = 0; i < loop.pending_clean_count; ++i) {
-      uint64_t lateness = loop.pending_clean[i];
-      loop.lateness_clean.Record(lateness);
-      if (loop.slo_budget != 0 && lateness > loop.slo_budget) {
-        ++loop.iso.slo_violations;
-      }
+      loop.lateness_clean.Record(loop.pending_clean[i]);
     }
   }
   loop.pending_clean_count = 0;

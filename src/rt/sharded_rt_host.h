@@ -25,6 +25,10 @@
 //    not worth a sleep: the shard spins to it instead (SpinUntil), the way
 //    the paper's idle loop halts only when nothing is due before the next
 //    backup interrupt. A wait bounded by the backup period always sleeps.
+//    Each of these choices is a function of ticks alone: PlanWait decides
+//    the wait and JudgeWait the wake, and the sleep step (SleepAndDispatch)
+//    only reads the clock, publishes, blocks and checks around them, so
+//    tests call the two with an explicit `now`.
 //
 //  * A spinning ("isolated") shard takes a spin step instead (DESIGN.md
 //    section 14): a dedicated core that never parks, so a cross-core
@@ -121,17 +125,73 @@ class ShardedRtHost {
   // section 13).
   static constexpr uint64_t kShardLateWakeHoldNs = 100'000'000;
 
+  // A sleeping shard's wait, as PlanWait decides it from ticks alone.
+  struct WaitPlan {
+    // Where the wait ends: the spin target, or the sleep's own plan (the
+    // shard's next deadline, else one backup period out) before any
+    // lowering to the queue deadline.
+    uint64_t wake_tick;
+    // What the sleeper gate carries for the sleep: wake_tick, or
+    // SleeperGate::kUnplannedWake during a late-wake hold.
+    uint64_t published_tick;
+    // The own plan is one backup period out: nothing of the shard's own
+    // falls due before it.
+    bool backup_bound;
+    // The queue deadline comes before the own plan: the sleep ends there
+    // unless a sibling covers it (SleeperGate::Covers).
+    bool queue_first;
+    // The wait ends inside the spin horizon (or has already ended) at a
+    // deadline: spin to wake_tick instead of sleeping.
+    bool spin;
+  };
+  // The wait of a sleeping shard at `now` whose next soft-event deadline is
+  // `next_deadline` and whose queue gate reads `queue_due` (either may be
+  // ShardedSoftTimerRuntime::kNeverDue), during a late-wake hold or not.
+  // A wait bounded by the backup period always sleeps, however short.
+  // SOFTTIMER_HOT
+  static constexpr WaitPlan PlanWait(uint64_t now, uint64_t next_deadline,
+                                     uint64_t backup_ticks, uint64_t queue_due,
+                                     uint64_t spin_horizon_ticks, bool hold) {
+    WaitPlan plan{now + backup_ticks, 0, true, false, false};
+    if (next_deadline < plan.wake_tick) {
+      plan.wake_tick = next_deadline;
+      plan.backup_bound = false;
+    }
+    plan.queue_first = queue_due < plan.wake_tick;
+    uint64_t first_tick = plan.queue_first ? queue_due : plan.wake_tick;
+    // Nearer than a sleep/wake costs (a deadline already passed included).
+    plan.spin = (plan.queue_first || !plan.backup_bound) &&
+                first_tick <= now + spin_horizon_ticks;
+    if (plan.spin) {
+      plan.wake_tick = first_tick;
+    }
+    plan.published_tick = hold ? SleeperGate<>::kUnplannedWake : plan.wake_tick;
+    return plan;
+  }
+
+  // The verdict on a sleep that ended at `woke`, planned to end at
+  // `wake_tick` (after any lowering to the queue deadline).
+  struct WakeVerdict {
+    // More than one backup period past the plan: starts a late-wake hold.
+    bool late;
+    // The check that follows: kBackupIntr when a backup-bound sleep ran to
+    // its tick, kIdleLoop after a poke or a deadline-bound wake.
+    TriggerSource source;
+  };
+  // SOFTTIMER_HOT
+  static constexpr WakeVerdict JudgeWait(uint64_t woke, uint64_t wake_tick,
+                                         uint64_t backup_ticks,
+                                         bool backup_bound) {
+    return {woke > wake_tick + backup_ticks,
+            backup_bound && woke >= wake_tick ? TriggerSource::kBackupIntr
+                                              : TriggerSource::kIdleLoop};
+  }
+
   struct ShardProfileConfig {
     // Spin instead of sleeping: a dedicated core whose idle step is the
     // spin step (compensated software backup, steal-aware clean lateness)
     // rather than a sleep.
     bool isolated = false;
-    // Dispatch-lateness SLO budget in measure ticks. Clean dispatches whose
-    // FireInfo::lateness_ticks() exceeds it bump IsolatedShardStats::
-    // slo_violations. 0 disables SLO accounting. Honoured on either kind of
-    // shard (on a sleeping shard every dispatch counts as clean, since only
-    // the spin step performs steal detection).
-    uint64_t slo_lateness_ticks = 0;
   };
 
   struct Config {
@@ -223,8 +283,9 @@ class ShardedRtHost {
     return loops_[shard]->gate.planned_wake_relaxed();
   }
 
-  // Counters of the spin step (all zero on a sleeping shard, except
-  // slo_violations). Quiesced reads only, like the histograms below.
+  // Counters of the spin step (all zero on a sleeping shard). Its backup
+  // checks are ShardLoopStats::backup_checks. Quiesced reads only, like the
+  // histograms below.
   struct IsolatedShardStats {
     uint64_t steal_events = 0;  // spin steps whose gap since the previous
                                 // one exceeded the steal threshold
@@ -233,11 +294,9 @@ class ShardedRtHost {
     // Dispatches excluded from the clean histogram because a steal was
     // detected in the gap before or after their check (they stay in raw).
     uint64_t steal_suppressed_dispatches = 0;
-    uint64_t backup_fires = 0;      // software-backup checks performed
     uint64_t backup_on_time = 0;    // fired at or before the nominal D
     uint64_t backup_true_late = 0;  // fired past D with no steal detected
     uint64_t backup_steal_late = 0; // fired past D because of a steal
-    uint64_t slo_violations = 0;    // clean dispatches over the SLO budget
     // Values derived by the startup calibration, for reporting.
     uint64_t calibrated_gap_ticks = 0;   // median spin check gap
     uint64_t steal_threshold_ticks = 0;
@@ -256,8 +315,8 @@ class ShardedRtHost {
 
  private:
   // Dispatches buffered between two spin steps, awaiting the trailing-gap
-  // steal verdict (see LatenessProbe). Far above any sane dispatch batch for
-  // an SLO-carrying shard; overflow falls back to raw-only recording.
+  // steal verdict (see LatenessProbe). Far above any sane dispatch batch
+  // between two spin steps; overflow falls back to raw-only recording.
   static constexpr size_t kCleanBufferCap = 64;
 
   // Everything one shard's loop thread touches, cache-line separated.
@@ -275,11 +334,10 @@ class ShardedRtHost {
     // Loop-thread writes (the two producer counters mirrored on read).
     ShardLoopStats stats;
     IsolatedShardStats iso;
-    // Lateness-probe and spin-step state, loop-thread only. `isolated` and
-    // `slo_budget` are set at construction.
+    // Lateness-probe and spin-step state, loop-thread only. `isolated` is
+    // set at construction.
     bool isolated = false;
     bool check_tainted = false;  // the last spin step's gap was a steal
-    uint64_t slo_budget = 0;
     uint64_t unplanned_until = 0;  // end of the late-wake hold (a tick)
     uint64_t prev_spin_tick = 0;   // clock read of the last spin step
     uint64_t backup_deadline = 0;  // nominal deadline D of the next backup
@@ -297,11 +355,12 @@ class ShardedRtHost {
   // tick that is not within the notify horizon (counted as suppressed).
   // Never blocks: the mutex and the notify stay in WakeShard.
   bool PokeMatters(ShardLoop& loop, uint64_t due_tick, uint64_t enqueue_tick);
-  // Facility lateness probe, installed on spinning and SLO-carrying shard
-  // facilities with the shard's ShardLoop as context; runs inside
-  // DispatchFired on the loop thread (or whichever thread drives a quiesced
-  // facility in tests).
-  static void LatenessProbe(void* ctx, const SoftTimerFacility::FireInfo& info);
+  // The facility's dispatch hook on a spinning shard, with the shard's
+  // ShardLoop as context: sorts each dispatch into the clean histogram or
+  // out of it, and charges no cost. Runs inside DispatchFired on the loop
+  // thread (or whichever thread drives a quiesced facility in tests).
+  static uint64_t LatenessProbe(void* ctx,
+                                const SoftTimerFacility::FireInfo& info);
   void RunShard(size_t shard);
   // A spinning shard's start-up: measures the median spin check gap and
   // derives the steal threshold and the backup compensation from it.

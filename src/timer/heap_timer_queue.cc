@@ -19,7 +19,7 @@ void HeapTimerQueue::PushEntry(uint32_t index, Node& n, uint64_t deadline_tick) 
   if (heap_.size() == heap_.capacity()) {
     GrowHeap();
   }
-  heap_.push_back(HeapEntry{n.deadline, n.seq, index});  // lint:allow-alloc
+  heap_.push_back(HeapEntry{n.deadline, n.seq, index});
   std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 

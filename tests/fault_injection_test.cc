@@ -336,9 +336,11 @@ TEST(FaultInjectionTest, QuarantinedEventsDeferToBackupAndStayCancellable) {
   cfg.degradation.quarantine_after_strikes = 1;
   SoftTimerFacility fac(&clock, cfg);
   // The host reports a huge cost for tag 9 dispatches.
-  fac.set_dispatch_cost_probe([](const SoftTimerFacility::FireInfo& info) {
-    return info.handler_tag == 9 ? uint64_t{100} : uint64_t{0};
-  });
+  fac.set_dispatch_hook(
+      [](void*, const SoftTimerFacility::FireInfo& info) {
+        return info.handler_tag == 9 ? uint64_t{100} : uint64_t{0};
+      },
+      nullptr);
 
   int fired = 0;
   fac.ScheduleSoftEvent(5, [&](const SoftTimerFacility::FireInfo&) { ++fired; }, 9);
@@ -426,6 +428,90 @@ TEST(FaultInjectionTest, FacilityToleratesClockStall) {
   fac.OnTriggerState(TriggerSource::kSyscall);
   EXPECT_EQ(fired, 1);
   EXPECT_LT(fac.stats().lateness_ticks.max(), 1'000u);
+}
+
+// --- Clock faults, end to end -------------------------------------------------
+
+TEST(FaultInjectionTest, ClockStallAndJumpKeepThePaperBoundOnTheFacilityClock) {
+  // The drought scenario's shape with clock faults instead: a busy CPU, a
+  // syscall trigger every 40 us and a T = 100 event every 500 us, while the
+  // facility's clock (FaultInjector::faulty_clock() as the kernel's measure
+  // clock) stalls for 3.5 backup periods and later leaps 2,000 ticks
+  // forward. Measured on that clock a stall only postpones what falls due,
+  // so every event meets T < actual < T + X + 1, the stalled ones included;
+  // an event whose wait contains the jump fires within the jump + X + 1.
+  constexpr uint64_t kT = 100;
+  constexpr uint64_t kStallAt = 6'050;  // true ticks, like the jump's
+  constexpr uint64_t kStall = 3'500;
+  constexpr uint64_t kJumpAt = 12'050;
+  constexpr uint64_t kJump = 2'000;
+  Simulator sim;
+  SimClockSource true_clock(&sim, kMeasureHz);
+  fault::FaultPlan plan;
+  plan.clock_stalls.push_back({kStallAt, kStall});
+  plan.clock_jumps.push_back({kJumpAt, kJump});
+  fault::FaultInjector inj(&true_clock, plan, /*seed=*/5);
+  Kernel::Config kc;
+  kc.profile = MachineProfile::PentiumII300();
+  kc.idle_poll_jitter_sigma = 0;
+  kc.measure_clock_override = inj.faulty_clock();
+  Kernel kernel(&sim, kc);
+  inj.InstallOn(&kernel);
+  kernel.cpu(0).Submit(SimDuration::Seconds(10));  // busy: no idle-loop rescue
+
+  std::function<void()> trig = [&] {
+    kernel.Trigger(TriggerSource::kSyscall);
+    sim.ScheduleAfter(SimDuration::Micros(40), trig);
+  };
+  sim.ScheduleAfter(SimDuration::Micros(40), trig);
+
+  struct Event {
+    uint64_t scheduled_true = 0;
+    uint64_t fired_true = 0;
+    int fires = 0;
+    SoftTimerFacility::FireInfo info{};
+  };
+  std::vector<Event> events;
+  events.reserve(32);
+  std::function<void()> sched = [&] {
+    if (true_clock.NowTicks() >= 16'000) {
+      return;
+    }
+    size_t i = events.size();
+    events.push_back(Event{true_clock.NowTicks()});
+    kernel.soft_timers().ScheduleSoftEvent(
+        kT, [&, i](const SoftTimerFacility::FireInfo& info) {
+          ++events[i].fires;
+          events[i].fired_true = true_clock.NowTicks();
+          events[i].info = info;
+        });
+    sim.ScheduleAfter(SimDuration::Micros(500), sched);
+  };
+  sim.ScheduleAt(SimTime::Zero() + SimDuration::Micros(4'500), sched);
+
+  sim.RunUntil(SimTime::Zero() + SimDuration::Millis(30));
+
+  ASSERT_EQ(events.size(), 23u);
+  size_t stalled = 0;
+  size_t jumped = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    ASSERT_EQ(e.fires, 1) << "event " << i;
+    // Not early by the facility's clock, and not clamped to 0 either.
+    EXPECT_GT(e.info.fired_tick, e.info.scheduled_tick + kT) << "event " << i;
+    EXPECT_GE(e.info.lateness_ticks(), 1u) << "event " << i;
+    stalled += e.scheduled_true < kStallAt + kStall && e.fired_true > kStallAt;
+    if (e.scheduled_true < kJumpAt && kJumpAt <= e.fired_true) {
+      ++jumped;
+      // The leap itself counts as lateness: past X, within the jump + X + 1.
+      EXPECT_GT(e.info.lateness_ticks(), kX) << "event " << i;
+      EXPECT_LT(e.info.lateness_ticks(), kJump + kX + 1) << "event " << i;
+    } else {
+      EXPECT_LT(e.info.lateness_ticks(), kX + 1) << "event " << i;
+    }
+  }
+  EXPECT_EQ(stalled, 8u);  // scheduled at 6,000 through 9,500
+  EXPECT_EQ(jumped, 1u);   // scheduled at 12,000
 }
 
 // --- Link faults -------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Spinning ("isolated") ShardedRtHost shards (DESIGN.md section 14): a
 // spinning shard beside a sleeping one, cross-core scheduling onto the
 // spinner from a producer thread, shutdown while the spin is in flight, the
-// compensated software-backup contract, and the lateness histograms + SLO
-// accounting fed by the facility. Real threads and wall-clock sleeps;
+// compensated software-backup contract, and the lateness histograms fed by
+// the facility. Real threads and wall-clock sleeps;
 // bounds are loose for loaded CI machines. Runs under the `cross-thread`
 // and `isolated` labels / tsan preset.
 
@@ -131,51 +131,13 @@ TEST(IsolatedRtHostTest, CompensatedBackupNeverFiresTrulyLate) {
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   host.Stop();
   ShardedRtHost::IsolatedShardStats iso = host.isolated_shard_stats(0);
-  EXPECT_GT(iso.backup_fires, 0u);
+  uint64_t backup_checks = host.shard_loop_stats(0).backup_checks;
+  EXPECT_GT(backup_checks, 0u);
   // Compensation >= steal threshold makes this structural: a late fire with
   // a clean leading gap would contradict the threshold.
   EXPECT_EQ(iso.backup_true_late, 0u);
-  EXPECT_EQ(iso.backup_fires,
-            iso.backup_on_time + iso.backup_steal_late);
+  EXPECT_EQ(backup_checks, iso.backup_on_time + iso.backup_steal_late);
   EXPECT_GE(iso.compensation_ticks, iso.steal_threshold_ticks);
-  EXPECT_EQ(host.shard_loop_stats(0).backup_checks, iso.backup_fires);
-}
-
-TEST(IsolatedRtHostTest, SloViolationsCountOverBudgetDispatches) {
-  // Quiesced (never Start()ed) host: the facility still feeds the
-  // histograms and SLO counter when the owner thread drives checks by hand,
-  // which makes the over-budget case deterministic - sleep far past the
-  // deadline, then check. Shard 1 (a sleeping shard) carries the SLO here:
-  // on a sleeping shard every dispatch is clean, so the counter must see it.
-  ShardedRtHost::Config cfg = MixedConfig();
-  cfg.shard_profiles[1].slo_lateness_ticks = 50'000;  // 50 ms budget
-  ShardedRtHost host(cfg);
-  std::atomic<int> fired{0};
-  host.runtime().ScheduleOnShard(1, 100 /* 100 us */,
-                                 [&](const SoftTimerFacility::FireInfo&) {
-                                   fired.fetch_add(1, std::memory_order_relaxed);
-                                 });
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));  // far over budget
-  host.runtime().OnTriggerState(1, TriggerSource::kSyscall);
-  EXPECT_EQ(fired.load(), 1);
-  EXPECT_EQ(host.isolated_shard_stats(1).slo_violations, 1u);
-  EXPECT_EQ(host.shard_lateness_clean(1).count(), 1u);
-  EXPECT_GT(host.shard_lateness_clean(1).max(), 50'000u);
-  // And an in-budget dispatch does not count: poll in a tight loop so the
-  // check lands within microseconds of the deadline, far under 50 ms even
-  // with scheduler noise on a loaded machine.
-  host.runtime().ScheduleOnShard(1, 1,
-                                 [&](const SoftTimerFacility::FireInfo&) {
-                                   fired.fetch_add(1, std::memory_order_relaxed);
-                                 });
-  auto poll_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fired.load(std::memory_order_relaxed) < 2 &&
-         std::chrono::steady_clock::now() < poll_deadline) {
-    host.runtime().OnTriggerState(1, TriggerSource::kSyscall);
-  }
-  EXPECT_EQ(fired.load(), 2);
-  EXPECT_EQ(host.isolated_shard_stats(1).slo_violations, 1u);
 }
 
 TEST(IsolatedRtHostTest, RuntimeShardStatsCarryLatenessSummary) {

@@ -1,23 +1,84 @@
 // Real-time host tests on a one-shard ShardedRtHost: the single-core case of
-// the paper's mechanism on wall-clock time. These use actual wall-clock
-// sleeps; delays are kept in the hundreds-of-microseconds range and
-// assertions are loose upper bounds so the suite stays robust on loaded
-// machines. The spin-horizon cases count spins and sleeps instead, which
-// depend on how far away each wait's deadline is, not on how long it takes.
+// the paper's mechanism. The real-thread tests check what needs threads and
+// wall-clock sleeps (a wake delivered at a deadline, the spinning loop's
+// software backup, no dispatch ever early) with loose bounds. How a sleeping
+// shard waits is checked exactly instead: SteppedShard replays its idle
+// steps on a manual clock through ShardedRtHost::PlanWait and JudgeWait.
 
 #include "src/rt/sharded_rt_host.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
+#include <vector>
 
 namespace softtimer {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+class ManualClock : public ClockSource {
+ public:
+  explicit ManualClock(uint64_t hz) : hz_(hz) {}
+  uint64_t NowTicks() const override { return now_; }
+  uint64_t ResolutionHz() const override { return hz_; }
+  void Set(uint64_t tick) { now_ = tick; }
+
+ private:
+  uint64_t hz_;
+  uint64_t now_ = 0;
+};
+
+// A one-shard sleeping host's idle steps, replayed on a manual clock with a
+// 1 ms backup period: each step plans its wait with ShardedRtHost::PlanWait,
+// moves the clock to where the wait ends (plus `oversleep` past a sleep's
+// plan) and checks the facility as SleepAndDispatch does, with the source
+// ShardedRtHost::JudgeWait gives. A one-shard host without queue work has
+// no queue deadline, and nothing here reads the planned tick a hold hides.
+class SteppedShard {
+ public:
+  explicit SteppedShard(uint64_t measure_hz)
+      : clock_(measure_hz),
+        facility_(&clock_, SoftTimerFacility::Config{}),
+        spin_horizon_ticks_(ShardedRtHost::kShardSpinHorizonNs * measure_hz /
+                            1'000'000'000) {}
+
+  SoftTimerFacility& facility() { return facility_; }
+  uint64_t now() const { return clock_.NowTicks(); }
+
+  // One idle step; returns the number of handlers its check fired.
+  size_t Step(uint64_t oversleep = 0) {
+    constexpr uint64_t kNever = ShardedSoftTimerRuntime::kNeverDue;
+    uint64_t now = clock_.NowTicks();
+    uint64_t backup_ticks = facility_.ticks_per_backup_interval();
+    ShardedRtHost::WaitPlan plan = ShardedRtHost::PlanWait(
+        now, facility_.NextDeadlineTick().value_or(kNever), backup_ticks,
+        kNever, spin_horizon_ticks_, /*hold=*/false);
+    if (plan.spin) {
+      ++stats.spins;
+      clock_.Set(std::max(now, plan.wake_tick));
+      return facility_.OnTriggerState(TriggerSource::kIdleLoop);
+    }
+    ++stats.sleeps;
+    clock_.Set(plan.wake_tick + oversleep);
+    ShardedRtHost::WakeVerdict verdict = ShardedRtHost::JudgeWait(
+        clock_.NowTicks(), plan.wake_tick, backup_ticks, plan.backup_bound);
+    stats.late_wakes += verdict.late;
+    stats.backup_checks += verdict.source == TriggerSource::kBackupIntr;
+    return facility_.OnTriggerState(verdict.source);
+  }
+
+  ShardedRtHost::ShardLoopStats stats;
+
+ private:
+  ManualClock clock_;
+  SoftTimerFacility facility_;
+  uint64_t spin_horizon_ticks_;
+};
 
 // `isolated` picks the shard's idle step: spin (true) or sleep (false).
 ShardedRtHost::Config OneShard(bool isolated) {
@@ -27,14 +88,6 @@ ShardedRtHost::Config OneShard(bool isolated) {
   cfg.interrupt_clock_hz = 1'000;  // 1 ms backup period
   cfg.shard_profiles.resize(1);
   cfg.shard_profiles[0].isolated = isolated;
-  return cfg;
-}
-
-// A sleeping shard on a 1 GHz measure clock, where the spin horizon is
-// kShardSpinHorizonNs ticks.
-ShardedRtHost::Config OneSleepingShardAtOneGhz() {
-  ShardedRtHost::Config cfg = OneShard(/*isolated=*/false);
-  cfg.measure_hz = 1'000'000'000;
   return cfg;
 }
 
@@ -143,113 +196,97 @@ TEST(RtHostTest, SleepAndDispatchHonorsDeadline) {
 }
 
 TEST(RtHostTest, SleepWithoutEventsBoundsAtBackupPeriod) {
-  ShardedRtHost host(OneShard(/*isolated=*/false));
-  auto start = Clock::now();
-  host.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  host.Stop();
-  int64_t elapsed_us = MicrosSince(start);
-  // With nothing scheduled every sleep runs to the 1 ms backup bound: at
-  // least one backup check happened, and no sleep ended much short of a
-  // full period (at most one backup check per 900 us).
-  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(0);
-  EXPECT_GE(loop.backup_checks, 1u);
-  EXPECT_LE(loop.backup_checks, static_cast<uint64_t>(elapsed_us / 900 + 1));
-  EXPECT_GE(loop.sleeps, loop.backup_checks);
+  // With nothing scheduled every wait sleeps to the backup bound, exactly
+  // one period, and ends in a backup check.
+  SteppedShard shard(1'000'000);
+  for (int step = 0; step < 50; ++step) {
+    shard.Step();
+  }
+  EXPECT_EQ(shard.now(), 50u * 1'000);
+  EXPECT_EQ(shard.stats.sleeps, 50u);
+  EXPECT_EQ(shard.stats.backup_checks, 50u);
+  EXPECT_EQ(shard.stats.spins, 0u);
 }
 
 TEST(RtHostTest, RunForDispatchesPeriodicWork) {
-  ShardedRtHost host(OneShard(/*isolated=*/false));
-  SoftTimerFacility& facility = host.runtime().shard_facility(0);
-  std::atomic<int> fires{0};
-  // Handlers run on the shard's loop thread, which owns the facility.
+  // A self-re-arming 1 ms timer, one backup period X: each wait first sleeps
+  // to the backup bound, since the deadline (T + 1 from the re-arm) lies one
+  // tick past it, then spins that tick. So the timer fires every T + 1
+  // ticks, one tick late, and 30 ms hold 29 fires.
+  SteppedShard shard(1'000'000);
+  SoftTimerFacility& facility = shard.facility();
+  std::vector<uint64_t> fired_ticks;
   std::function<void(const SoftTimerFacility::FireInfo&)> periodic =
-      [&](const SoftTimerFacility::FireInfo&) {
-        fires.fetch_add(1, std::memory_order_relaxed);
-        facility.ScheduleSoftEvent(1'000, periodic);  // every ~1 ms
+      [&](const SoftTimerFacility::FireInfo& info) {
+        fired_ticks.push_back(info.fired_tick);
+        EXPECT_EQ(info.lateness_ticks(), 1u);
+        facility.ScheduleSoftEvent(1'000, periodic);
       };
   facility.ScheduleSoftEvent(1'000, periodic);
-  host.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  host.Stop();
-  // ~30 fires expected; accept a broad band for loaded CI machines.
-  EXPECT_GE(fires.load(), 10);
-  EXPECT_LE(fires.load(), 40);
+  while (shard.now() < 30'000) {
+    shard.Step();
+  }
+  ASSERT_EQ(fired_ticks.size(), 29u);
+  for (size_t i = 0; i < fired_ticks.size(); ++i) {
+    EXPECT_EQ(fired_ticks[i], (i + 1) * 1'001) << i;
+  }
+  // The 30th sleep carries the clock past 30 ms.
+  EXPECT_EQ(shard.stats.sleeps, 30u);
+  EXPECT_EQ(shard.stats.backup_checks, 30u);
+  EXPECT_EQ(shard.stats.spins, 29u);
 }
 
 TEST(RtHostTest, WaitsInsideTheSpinHorizonNeverSleep) {
-  // A self-re-arming chain of 2 us timers: every wait ends at a deadline
-  // inside the spin horizon, so the sleeping shard spins through each one.
-  // A loop that stalls finds the next timer already due, and a wait that is
-  // already over spins too (for no time), so no wait ever sleeps.
+  // A self-re-arming chain of 2 us timers at 1 GHz: every wait ends at a
+  // deadline inside the spin horizon, so the sleeping shard spins through
+  // each one and never sleeps.
   constexpr int kFires = 200;
-  ShardedRtHost host(OneSleepingShardAtOneGhz());
-  SoftTimerFacility& facility = host.runtime().shard_facility(0);
-  int fires = 0;  // loop thread only
-  ShardedRtHost::ShardLoopStats at_last_fire;  // written by the last handler
-  std::atomic<bool> done{false};
+  SteppedShard shard(1'000'000'000);
+  SoftTimerFacility& facility = shard.facility();
+  int fires = 0;
   std::function<void(const SoftTimerFacility::FireInfo&)> chain =
       [&](const SoftTimerFacility::FireInfo&) {
         if (++fires < kFires) {
           facility.ScheduleSoftEvent(2'000, chain);  // 2 us
-          return;
         }
-        at_last_fire = host.shard_loop_stats(0);
-        done.store(true, std::memory_order_release);
       };
   facility.ScheduleSoftEvent(2'000, chain);
-  host.Start();
-  WaitFor(done, std::chrono::milliseconds(10'000));
-  host.Stop();
-  ASSERT_TRUE(done.load());
-  EXPECT_EQ(at_last_fire.sleeps, 0u);
-  EXPECT_GT(at_last_fire.spins, 0u);
+  while (fires < kFires) {
+    ASSERT_EQ(shard.Step(), 1u);
+  }
+  EXPECT_EQ(shard.stats.sleeps, 0u);
+  EXPECT_EQ(shard.stats.spins, static_cast<uint64_t>(kFires));
 }
 
 TEST(RtHostTest, WaitsPastTheSpinHorizonStillSleep) {
-  // A chain of 200 us timers: every wait is deadline-bound but far past the
-  // spin horizon, so each fire follows a sleep and nothing spins. Armed on
-  // the loop thread, so a slow thread start cannot eat into the first wait,
-  // and into a facility whose storage is already built, so a first
-  // schedule's allocation (slow under a sanitizer) cannot either.
+  // A chain of 200 us timers at 1 GHz: every wait is deadline-bound but far
+  // past the spin horizon, so each fire follows a sleep and nothing spins.
   constexpr int kFires = 20;
-  ShardedRtHost::Config cfg = OneSleepingShardAtOneGhz();
-  ShardedRtHost* self = nullptr;  // set before Start(), read on the loop
-  bool armed = false;             // loop thread only
-  int fires = 0;                  // loop thread only; read after Stop()
-  std::atomic<bool> done{false};
+  SteppedShard shard(1'000'000'000);
+  SoftTimerFacility& facility = shard.facility();
+  int fires = 0;
   std::function<void(const SoftTimerFacility::FireInfo&)> chain =
       [&](const SoftTimerFacility::FireInfo&) {
         if (++fires < kFires) {
-          self->runtime().ScheduleOnShard(0, 200'000, chain);  // 200 us
-        } else {
-          done.store(true, std::memory_order_release);
+          facility.ScheduleSoftEvent(200'000, chain);  // 200 us
         }
       };
-  cfg.shard_tick = [&](size_t shard) {
-    if (!armed) {
-      armed = true;
-      self->runtime().ScheduleOnShard(shard, 200'000, chain);
-    }
-  };
-  ShardedRtHost host(cfg);
-  self = &host;
-  host.runtime().CancelOnShard(
-      0, host.runtime().ScheduleOnShard(
-             0, 1, [](const SoftTimerFacility::FireInfo&) {}));
-  host.Start();
-  WaitFor(done, std::chrono::milliseconds(10'000));
-  host.Stop();
-  ASSERT_TRUE(done.load());
-  ShardedRtHost::ShardLoopStats loop = host.shard_loop_stats(0);
-  EXPECT_EQ(loop.spins, 0u);
-  EXPECT_GE(loop.sleeps, static_cast<uint64_t>(fires - 1));
+  facility.ScheduleSoftEvent(200'000, chain);
+  while (fires < kFires) {
+    ASSERT_EQ(shard.Step(), 1u);
+  }
+  EXPECT_EQ(shard.stats.spins, 0u);
+  EXPECT_EQ(shard.stats.sleeps, static_cast<uint64_t>(kFires));
+  EXPECT_EQ(shard.stats.backup_checks, 0u);
 }
 
 TEST(RtHostTest, LatenessStaysWithinPaperBoundUnderSleepLoop) {
+  // On real threads: every dispatch of a sleeping loop is late by at least
+  // the rounding tick (T < actual), and the histogram counts each fire.
+  // How late it may be is the stepped test below: it depends on how
+  // promptly the OS wakes the thread, not on the loop.
   ShardedRtHost host(OneShard(/*isolated=*/false));
   SoftTimerFacility& facility = host.runtime().shard_facility(0);
-  uint64_t x = facility.ticks_per_backup_interval();
   int fires = 0;  // loop thread only; read after Stop()
   std::function<void(const SoftTimerFacility::FireInfo&)> handler =
       [&](const SoftTimerFacility::FireInfo&) {
@@ -264,11 +301,36 @@ TEST(RtHostTest, LatenessStaysWithinPaperBoundUnderSleepLoop) {
   const LatencyHistogram& lateness = host.shard_lateness_raw(0);
   ASSERT_GE(lateness.count(), 10u);
   EXPECT_EQ(lateness.count(), static_cast<uint64_t>(fires));
-  // T < actual: lateness >= 1 always. The upper bound holds as long as the
-  // OS wakes us near the requested time; allow generous scheduler slop for
-  // loaded CI machines.
   EXPECT_GE(lateness.min(), 1u);
-  EXPECT_LT(lateness.max(), 6 * x);
+}
+
+TEST(RtHostTest, SteppedLatenessMeetsThePaperBoundUntilAWakeIsLate) {
+  // A chain of 700 us timers (X = 1,000 ticks) whose every sleep ends
+  // `oversleep` ticks past its plan: each dispatch is late by exactly
+  // 1 + oversleep. So a wake at most X past its plan keeps the paper's
+  // T < actual <= T + X + 1, and one past that, the first to break it, is
+  // the late wake that starts a late-wake hold.
+  for (uint64_t oversleep : {0u, 20u, 999u, 1'000u, 1'001u}) {
+    SteppedShard shard(1'000'000);
+    SoftTimerFacility& facility = shard.facility();
+    int fires = 0;
+    std::function<void(const SoftTimerFacility::FireInfo&)> chain =
+        [&](const SoftTimerFacility::FireInfo&) {
+          if (++fires < 20) {
+            facility.ScheduleSoftEvent(700, chain);
+          }
+        };
+    facility.ScheduleSoftEvent(700, chain);
+    while (fires < 20) {
+      ASSERT_EQ(shard.Step(oversleep), 1u) << "oversleep " << oversleep;
+    }
+    const LatencyHistogram& lateness = facility.stats().lateness_ticks;
+    EXPECT_EQ(lateness.count(), 20u) << "oversleep " << oversleep;
+    EXPECT_EQ(lateness.min(), 1 + oversleep) << "oversleep " << oversleep;
+    EXPECT_EQ(lateness.max(), 1 + oversleep) << "oversleep " << oversleep;
+    EXPECT_EQ(shard.stats.late_wakes, oversleep > 1'000 ? 20u : 0u)
+        << "oversleep " << oversleep;
+  }
 }
 
 }  // namespace

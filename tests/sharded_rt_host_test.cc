@@ -1,12 +1,13 @@
 // ShardedRtHost behaviour: per-shard trigger loops, cross-core wakeups
 // cutting through backup-bounded sleeps, pokes skipped when the command
-// falls due after the sleeper's planned wake (and none skipped after a
-// late wake), cross-core commands reaching a shard that spins to a near
-// deadline, a sleeping shard's lateness record and its loop thread's
-// timer slack, and the rule by which a parking shard leaves a queue
-// deadline to a sibling. Real threads and wall-clock sleeps;
+// falls due after the sleeper's planned wake, cross-core commands reaching
+// a shard that spins to a near deadline, a sleeping shard's lateness record
+// and its loop thread's timer slack. Real threads and wall-clock sleeps;
 // bounds are loose for loaded CI machines. Runs under the `cross-thread`
-// label / tsan preset.
+// label / tsan preset. The sleeping shard's wait decisions (PlanWait,
+// JudgeWait), the late-wake hold's published tick and the rule by which a
+// parking shard leaves a queue deadline to a sibling are pure functions of
+// ticks, checked row by row with no thread and no clock.
 
 #include "src/rt/sharded_rt_host.h"
 
@@ -131,30 +132,126 @@ TEST(ShardedRtHostTest, SleeperIsPokedOnlyForCommandsDueBeforeItsPlannedWake) {
 }
 
 TEST(ShardedRtHostTest, LateWakePublishesNoPlanSoEveryPokeMatters) {
-  // A 10 ns backup period on a 1 GHz clock: every backup-bounded sleep ends
-  // more than one backup period past its plan (the fence, the mutex and the
-  // timed wait alone take longer), so the shard's first sleep starts a
-  // late-wake hold, and each sleep after it publishes kUnplannedWake, which
-  // makes a poke matter however far off its command falls due.
-  ShardedRtHost::Config cfg;
-  cfg.num_shards = 1;
-  cfg.measure_hz = 1'000'000'000;
-  cfg.interrupt_clock_hz = 100'000'000;
-  ShardedRtHost host(cfg);
-  host.Start();
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool unplanned = false;
-  while (!unplanned && std::chrono::steady_clock::now() < deadline) {
-    unplanned = host.planned_wake_tick(0) == SleeperGate<>::kUnplannedWake;
-    std::this_thread::yield();
-  }
-  host.Stop();
-  EXPECT_TRUE(unplanned);
-  EXPECT_GT(host.shard_loop_stats(0).late_wakes, 0u);
-  EXPECT_TRUE(SleeperGate<>::WakeMatters(SleeperGate<>::kUnplannedWake,
-                                         /*due_tick=*/UINT64_MAX - 1,
-                                         host.clock().NowTicks(),
+  // A sleep that ends more than one backup period past its plan is late,
+  // which starts a hold. A wait planned during the hold publishes
+  // kUnplannedWake, which makes a poke matter however far off its command
+  // falls due.
+  constexpr uint64_t kX = 1'000;
+  constexpr uint64_t kWake = 50'000;
+  EXPECT_FALSE(ShardedRtHost::JudgeWait(kWake + kX, kWake, kX, true).late);
+  ASSERT_TRUE(ShardedRtHost::JudgeWait(kWake + kX + 1, kWake, kX, true).late);
+  uint64_t now = kWake + kX + 1;
+  ShardedRtHost::WaitPlan plan = ShardedRtHost::PlanWait(
+      now, now + 400, kX, ShardedSoftTimerRuntime::kNeverDue, 5,
+      /*hold=*/true);
+  EXPECT_EQ(plan.wake_tick, now + 400);
+  EXPECT_EQ(plan.published_tick, SleeperGate<>::kUnplannedWake);
+  EXPECT_TRUE(SleeperGate<>::WakeMatters(plan.published_tick,
+                                         /*due_tick=*/UINT64_MAX - 1, now,
                                          /*horizon_ticks=*/0));
+}
+
+TEST(ShardedRtHostTest, PlanWaitRows) {
+  // Each row plans one wait at kNow with spin horizon kH: the own deadline,
+  // the queue gate's deadline, the backup period and whether a late-wake
+  // hold is on, against the plan SleepAndDispatch follows.
+  constexpr uint64_t kNow = 10'000;
+  constexpr uint64_t kH = 5;
+  constexpr uint64_t kNever = ShardedSoftTimerRuntime::kNeverDue;
+  constexpr uint64_t kUnplanned = SleeperGate<>::kUnplannedWake;
+  struct Row {
+    const char* what;
+    uint64_t next_deadline;
+    uint64_t queue_due;
+    uint64_t backup_ticks;
+    bool hold;
+    uint64_t wake_tick;
+    uint64_t published_tick;
+    bool backup_bound;
+    bool queue_first;
+    bool spin;
+  };
+  const Row rows[] = {
+      {"nothing due", kNever, kNever, 1'000, false,
+       kNow + 1'000, kNow + 1'000, true, false, false},
+      {"own deadline at now + X", kNow + 1'000, kNever, 1'000, false,
+       kNow + 1'000, kNow + 1'000, true, false, false},
+      {"own deadline before now + X", kNow + 999, kNever, 1'000, false,
+       kNow + 999, kNow + 999, false, false, false},
+      {"own deadline at now + H", kNow + kH, kNever, 1'000, false,
+       kNow + kH, kNow + kH, false, false, true},
+      {"own deadline at now + H + 1", kNow + kH + 1, kNever, 1'000, false,
+       kNow + kH + 1, kNow + kH + 1, false, false, false},
+      {"own deadline already past", kNow - 7, kNever, 1'000, false,
+       kNow - 7, kNow - 7, false, false, true},
+      {"queue deadline inside H", kNever, kNow + kH, 1'000, false,
+       kNow + kH, kNow + kH, true, true, true},
+      {"queue deadline inside H, own one past it", kNow + 300, kNow + 2,
+       1'000, false, kNow + 2, kNow + 2, false, true, true},
+      {"queue deadline past H", kNever, kNow + kH + 1, 1'000, false,
+       kNow + 1'000, kNow + 1'000, true, true, false},
+      {"queue deadline past H, before own deadline", kNow + 300, kNow + 200,
+       1'000, false, kNow + 300, kNow + 300, false, true, false},
+      {"queue deadline at own deadline", kNow + 300, kNow + 300, 1'000, false,
+       kNow + 300, kNow + 300, false, false, false},
+      {"backup-bound with X <= H", kNever, kNever, 3, false,
+       kNow + 3, kNow + 3, true, false, false},
+      {"own deadline at now + X <= H", kNow + 3, kNever, 3, false,
+       kNow + 3, kNow + 3, true, false, false},
+      {"hold, own deadline", kNow + 300, kNever, 1'000, true,
+       kNow + 300, kUnplanned, false, false, false},
+      {"hold, nothing due", kNever, kNever, 1'000, true,
+       kNow + 1'000, kUnplanned, true, false, false},
+      {"hold, queue deadline past H", kNever, kNow + 200, 1'000, true,
+       kNow + 1'000, kUnplanned, true, true, false},
+  };
+  for (const Row& row : rows) {
+    ShardedRtHost::WaitPlan plan =
+        ShardedRtHost::PlanWait(kNow, row.next_deadline, row.backup_ticks,
+                                row.queue_due, kH, row.hold);
+    EXPECT_EQ(plan.wake_tick, row.wake_tick) << row.what;
+    EXPECT_EQ(plan.published_tick, row.published_tick) << row.what;
+    EXPECT_EQ(plan.backup_bound, row.backup_bound) << row.what;
+    EXPECT_EQ(plan.queue_first, row.queue_first) << row.what;
+    EXPECT_EQ(plan.spin, row.spin) << row.what;
+  }
+}
+
+TEST(ShardedRtHostTest, JudgeWaitRows) {
+  // Each row ends a sleep planned for kWake at `woke`: whether the wake is
+  // late (more than one backup period past the plan) and which source the
+  // check after it carries.
+  constexpr uint64_t kWake = 10'000;
+  constexpr uint64_t kX = 1'000;
+  struct Row {
+    const char* what;
+    uint64_t woke;
+    bool backup_bound;
+    bool late;
+    TriggerSource source;
+  };
+  const Row rows[] = {
+      {"deadline wake on time", kWake, false, false, TriggerSource::kIdleLoop},
+      {"deadline wake X past", kWake + kX, false, false,
+       TriggerSource::kIdleLoop},
+      {"deadline wake X + 1 past", kWake + kX + 1, false, true,
+       TriggerSource::kIdleLoop},
+      {"backup wake on time", kWake, true, false, TriggerSource::kBackupIntr},
+      {"backup wake X past", kWake + kX, true, false,
+       TriggerSource::kBackupIntr},
+      {"backup wake X + 1 past", kWake + kX + 1, true, true,
+       TriggerSource::kBackupIntr},
+      {"backup wait poked early", kWake - 1, true, false,
+       TriggerSource::kIdleLoop},
+      {"deadline wait poked early", kWake - 400, false, false,
+       TriggerSource::kIdleLoop},
+  };
+  for (const Row& row : rows) {
+    ShardedRtHost::WakeVerdict verdict =
+        ShardedRtHost::JudgeWait(row.woke, kWake, kX, row.backup_bound);
+    EXPECT_EQ(verdict.late, row.late) << row.what;
+    EXPECT_EQ(verdict.source, row.source) << row.what;
+  }
 }
 
 TEST(SleeperGateTest, SiblingCoversADeadlineOnlyAwakeOrWithAPlanByIt) {

@@ -296,13 +296,37 @@ TEST_F(FacilityFixture, StatsAccounting) {
 }
 
 TEST_F(FacilityFixture, DispatchObserverRunsBeforeHandler) {
+  // The dispatch hook observes each dispatch before its handler runs.
   std::vector<int> order;
-  facility_->set_dispatch_observer(
-      [&](const SoftTimerFacility::FireInfo&) { order.push_back(1); });
+  facility_->set_dispatch_hook(
+      [](void* ctx, const SoftTimerFacility::FireInfo&) -> uint64_t {
+        static_cast<std::vector<int>*>(ctx)->push_back(1);
+        return 0;
+      },
+      &order);
   facility_->ScheduleSoftEvent(1, [&](const SoftTimerFacility::FireInfo&) { order.push_back(2); });
   AdvanceTo(SimDuration::Micros(5));
   facility_->OnTriggerState(TriggerSource::kSyscall);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST_F(FacilityFixture, TriggerStateInsideAHandlerKeepsTheOuterCheck) {
+  // A handler that passes through a trigger state (as a paced TCP send
+  // does through ip-output) runs a nested check, which finds nothing due.
+  // That check keeps its own state: the outer check still counts the
+  // dispatch it made, under its own source.
+  std::vector<TriggerSource> sources;
+  facility_->ScheduleSoftEvent(1, [&](const SoftTimerFacility::FireInfo& info) {
+    sources.push_back(info.source);
+    EXPECT_EQ(facility_->OnTriggerState(TriggerSource::kIpOutput), 0u);
+  });
+  AdvanceTo(SimDuration::Micros(5));
+  EXPECT_EQ(facility_->OnTriggerState(TriggerSource::kSyscall), 1u);
+  EXPECT_EQ(sources, (std::vector<TriggerSource>{TriggerSource::kSyscall}));
+  const auto& s = facility_->stats();
+  EXPECT_EQ(s.dispatches_by_source[static_cast<size_t>(TriggerSource::kSyscall)],
+            1u);
+  EXPECT_EQ(s.checks, 2u);
 }
 
 TEST_F(FacilityFixture, ScheduleObserverFires) {

@@ -1,26 +1,19 @@
 #!/usr/bin/env python3
-"""Hot-path and memory-ordering lint for the soft-timer tree.
+"""Memory-ordering lint for the soft-timer tree.
 
-Three rules, all enforced as a CI gate (and locally via `ctest -L lint`):
+Two rules, both enforced as a CI gate (and locally via `ctest -L lint`).
+What a `// SOFTTIMER_HOT` function may reach (no allocation, blocking,
+throw or recursion) is tools/analyze/hot_closure.py's job: it checks the
+whole call closure, not just the marked body.
 
-1. hot-path-alloc: a function definition preceded by a `// SOFTTIMER_HOT`
-   marker line (the marker must be a standalone comment line, optionally
-   with a `: rationale` tail - prose that merely mentions the word does not
-   mark) must not allocate, type-erase, or throw. Forbidden inside the
-   marked body: operator new, make_unique/make_shared, malloc, calloc,
-   realloc, aligned_alloc, strdup, throw, std::function<, push_back(,
-   emplace_back(, .resize(, .reserve(. A line carrying `// lint:allow-alloc`
-   is waived - reserved for amortized growth paths that sit at capacity in
-   steady state (document why next to the waiver).
-
-2. raw-atomic-in-shim: files templated on the atomics-traits shim
+1. raw-atomic-in-shim: files templated on the atomics-traits shim
    (TRAITS_SHIM_FILES below) must not name std::atomic< or
    std::atomic_thread_fence directly; everything routes through
    Traits::Atomic / Traits::ThreadFence so tests/model_check_test.cc can
    substitute the model checker's instrumented types.
    src/core/atomics_traits.h is the single place allowed to touch both.
 
-3. unannotated-ordering: every non-seq_cst std::memory_order_* site under
+2. unannotated-ordering: every non-seq_cst std::memory_order_* site under
    src/ needs an `// ordering:` rationale on the same line or within the
    ANNOTATION_LOOKBACK lines above it, so each weakened ordering carries its
    pairing argument in-tree. src/check/ is exempt (the model checker
@@ -28,7 +21,7 @@ Three rules, all enforced as a CI gate (and locally via `ctest -L lint`):
 
 Exit status: 0 clean, 1 findings, 2 internal/self-test failure.
 `--self-test` runs every rule against synthetic violations and verifies
-both that they fire and that the waivers/annotations silence them.
+both that they fire and that the shim and annotations silence them.
 """
 
 import argparse
@@ -36,12 +29,6 @@ import os
 import re
 import sys
 
-# Standalone marker line, optionally carrying a rationale tail. Kept in sync
-# with tools/analyze/hot_closure.py's MARKER_RE so both tools mark the same
-# functions; prose mentioning the word (e.g. "marked SOFTTIMER_HOT at the
-# definition") is not a marker.
-HOT_MARKER_RE = re.compile(r"^\s*//\s*SOFTTIMER_HOT\b\s*(?::.*)?$")
-ALLOW_ALLOC = "lint:allow-alloc"
 ANNOTATION_LOOKBACK = 6
 
 # Files whose concurrency primitives are templated on the atomics-traits
@@ -51,23 +38,6 @@ TRAITS_SHIM_FILES = (
     "src/core/remote_pending.h",
     "src/core/queue_claim.h",
     "src/rt/eventcount.h",
-)
-
-FORBIDDEN_IN_HOT = (
-    (re.compile(r"\bnew\b"), "operator new"),
-    (re.compile(r"\bmake_unique\b"), "make_unique"),
-    (re.compile(r"\bmake_shared\b"), "make_shared"),
-    (re.compile(r"\bmalloc\s*\("), "malloc"),
-    (re.compile(r"\bcalloc\s*\("), "calloc"),
-    (re.compile(r"\brealloc\s*\("), "realloc"),
-    (re.compile(r"\baligned_alloc\s*\("), "aligned_alloc"),
-    (re.compile(r"\bstrdup\s*\("), "strdup"),
-    (re.compile(r"\bthrow\b"), "throw"),
-    (re.compile(r"std::function<"), "std::function"),
-    (re.compile(r"\bpush_back\s*\("), "push_back"),
-    (re.compile(r"\bemplace_back\s*\("), "emplace_back"),
-    (re.compile(r"\.resize\s*\("), "resize"),
-    (re.compile(r"\.reserve\s*\("), "reserve"),
 )
 
 WEAK_ORDER_RE = re.compile(
@@ -88,43 +58,6 @@ class Findings:
 
     def add(self, rule, path, lineno, message):
         self.items.append((rule, path, lineno, message))
-
-
-def check_hot_functions(path, lines, findings):
-    i = 0
-    n = len(lines)
-    while i < n:
-        if not HOT_MARKER_RE.match(lines[i]):
-            i += 1
-            continue
-        marker_line = i + 1  # 1-indexed, for messages
-        # Find the body: first '{' at or after the line following the marker.
-        j = i + 1
-        depth = 0
-        entered = False
-        while j < n:
-            code = strip_comment_and_strings(lines[j])
-            for ch in code:
-                if ch == "{":
-                    depth += 1
-                    entered = True
-                elif ch == "}":
-                    depth -= 1
-            if entered:
-                raw = lines[j]
-                if ALLOW_ALLOC not in raw:
-                    code_only = strip_comment_and_strings(raw)
-                    for regex, label in FORBIDDEN_IN_HOT:
-                        if regex.search(code_only):
-                            findings.add(
-                                "hot-path-alloc", path, j + 1,
-                                f"{label} in SOFTTIMER_HOT function "
-                                f"(marker at line {marker_line}); move it off "
-                                f"the hot path or waive with // {ALLOW_ALLOC}")
-                if depth <= 0:
-                    break
-            j += 1
-        i = j + 1
 
 
 def check_raw_atomics(path, lines, findings):
@@ -163,7 +96,6 @@ def lint_tree(root):
             rel = os.path.relpath(path, root).replace(os.sep, "/")
             with open(path, encoding="utf-8") as f:
                 lines = f.read().splitlines()
-            check_hot_functions(rel, lines, findings)
             if rel in TRAITS_SHIM_FILES:
                 check_raw_atomics(rel, lines, findings)
             if not rel.startswith("src/check/"):
@@ -181,100 +113,6 @@ def self_test():
         if got != sorted(expect_rules):
             failures.append(f"{name}: expected {expect_rules}, got "
                             f"{[f'{f[0]}:{f[2]}' for f in findings.items]}")
-
-    hot_alloc = [
-        "// SOFTTIMER_HOT",
-        "void Hot() {",
-        "  v.push_back(1);",
-        "}",
-    ]
-    run("hot alloc fires", hot_alloc, check_hot_functions, "x.cc",
-        ["hot-path-alloc"])
-
-    hot_waived = [
-        "// SOFTTIMER_HOT",
-        "void Hot() {",
-        "  v.push_back(1);  // lint:allow-alloc",
-        "}",
-    ]
-    run("waiver silences", hot_waived, check_hot_functions, "x.cc", [])
-
-    hot_comment_only = [
-        "// SOFTTIMER_HOT",
-        "void Hot() {",
-        "  x = 1;  // a new chunk would reserve here, but we do not",
-        "}",
-    ]
-    run("comment tokens ignored", hot_comment_only, check_hot_functions,
-        "x.cc", [])
-
-    hot_ends = [
-        "// SOFTTIMER_HOT",
-        "void Hot() { x = 1; }",
-        "void Cold() { v.push_back(1); }",
-    ]
-    run("marker scope ends at body", hot_ends, check_hot_functions, "x.cc", [])
-
-    for token, stmt in (
-        ("calloc", "p = calloc(4, 16);"),
-        ("realloc", "p = realloc(p, 32);"),
-        ("aligned_alloc", "p = aligned_alloc(64, 256);"),
-        ("strdup", "s = strdup(name);"),
-        ("throw", "throw std::runtime_error(\"late\");"),
-    ):
-        body = ["// SOFTTIMER_HOT", "void Hot() {", f"  {stmt}", "}"]
-        run(f"{token} fires", body, check_hot_functions, "x.cc",
-            ["hot-path-alloc"])
-
-    hot_multiline_sig = [
-        "// SOFTTIMER_HOT",
-        "void Hot(int first,",
-        "         int second,",
-        "         int third) {",
-        "  v.push_back(first);",
-        "}",
-    ]
-    run("multi-line signature after marker", hot_multiline_sig,
-        check_hot_functions, "x.cc", ["hot-path-alloc"])
-
-    hot_nested = [
-        "// SOFTTIMER_HOT",
-        "void Hot() {",
-        "  if (cond) {",
-        "    for (int i = 0; i < n; ++i) {",
-        "      x += i;",
-        "    }",
-        "  }",
-        "}",
-        "void Cold() { v.push_back(1); }",
-    ]
-    run("nested braces terminate scope correctly", hot_nested,
-        check_hot_functions, "x.cc", [])
-
-    hot_nested_violation = [
-        "// SOFTTIMER_HOT",
-        "void Hot() {",
-        "  if (cond) {",
-        "    v.push_back(1);",
-        "  }",
-        "}",
-    ]
-    run("violation inside nested scope fires", hot_nested_violation,
-        check_hot_functions, "x.cc", ["hot-path-alloc"])
-
-    marker_prose = [
-        "// Hot path - marked SOFTTIMER_HOT at the definition.",
-        "void NotMarkedHere() { v.push_back(1); }",
-    ]
-    run("prose mention is not a marker", marker_prose, check_hot_functions,
-        "x.cc", [])
-
-    marker_rationale = [
-        "// SOFTTIMER_HOT: per-packet fast path",
-        "void Hot() { v.push_back(1); }",
-    ]
-    run("marker with rationale tail still marks", marker_rationale,
-        check_hot_functions, "x.cc", ["hot-path-alloc"])
 
     raw_atomic = ["std::atomic<int> x;"]
     run("raw atomic fires", raw_atomic, check_raw_atomics,
@@ -303,7 +141,7 @@ def self_test():
         for f in failures:
             print(f"lint self-test FAILED: {f}", file=sys.stderr)
         return 2
-    print("lint self-test: all rules fire and all waivers silence")
+    print("lint self-test: both rules fire and annotations silence")
     return 0
 
 
